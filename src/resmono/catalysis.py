@@ -23,7 +23,6 @@ from scipy import optimize
 from . import divergences as dv
 from . import monotones as mn
 from . import qmat
-from ._parallel import parallel_map
 from .errors import (AlphaOutOfRange, DegenerateVariance, DimensionOverflow,
                      HypothesisViolated, InvalidXi, NoFeasiblePoint,
                      SupportViolation, TheoryUnsupported)
@@ -59,6 +58,8 @@ def catalyst_q_bound(rho, rho_prime, theory, alpha: float, eps: float) -> Cataly
     """Theorem-style bound on the catalyst at order alpha in [1/2, 1)."""
     if not 0.5 <= alpha < 1.0:
         raise AlphaOutOfRange(f"catalyst bound needs alpha in [1/2,1), got {alpha}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     q_rho = _q_of(rho, theory, alpha)
     q_rhop = _q_of(rho_prime, theory, alpha)
     gap = q_rho - q_rhop
@@ -331,8 +332,7 @@ def scaling_curve(rho, rho_prime, theory, eps_list, alpha: float) -> BoundCurve:
     if not isinstance(theory, mn.Athermality):
         raise TheoryUnsupported("the upper construction is athermality-specific")
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    bounds = parallel_map(
-        lambda eps: catalyst_q_bound(rho, rho_prime, theory, alpha, eps), eps_arr)
+    bounds = [catalyst_q_bound(rho, rho_prime, theory, alpha, eps) for eps in eps_arr]
     lower = np.array([cb.d_alpha_nu_lb for cb in bounds])
     clamped = np.array([cb.clamped for cb in bounds], dtype=bool)
 

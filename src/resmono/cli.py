@@ -45,6 +45,8 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
+        if x == 0.0:
+            return "0"      # also for -0.0
         return f"{x:.12g}"
     return str(x)
 
@@ -147,14 +149,16 @@ def cmd_monotone(args):
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
     state, _ = _state_arg(args, "state", "p", args.rationalize)
     theory = _theory_from_args(args)
-    if state.ndim == 1 and not (isinstance(theory, mn.Athermality) and theory.classical):
-        state = np.diag(state.astype(complex))
     if state.ndim == 1:
         state = qmat.ClassicalDist(state)
+        if not (isinstance(theory, mn.Athermality) and theory.classical):
+            state = qmat.asmat(state)
     val = mn.monotone_alpha(state, theory, alpha, seed=args.seed)
+    # coherence away from alpha = 1 comes from mirror descent, not a closed form
+    exact = not isinstance(theory, mn.Coherence) or abs(alpha - 1.0) < dv.ALPHA_ONE_WINDOW
     emit(args, ["state_id", "theory", "alpha", "value_bits", "certified", "infinite"],
          [("state-0", args.theory, alpha, val if not math.isinf(val) else 0.0,
-           "exact", math.isinf(val))],
+           "exact" if exact else "heuristic", math.isinf(val))],
          {"command": "monotone"})
     return 0
 
@@ -251,7 +255,7 @@ def cmd_bound(args):
     eps_list = [float(e) for e in args.eps_list.split(",")]
     curve = ct.scaling_curve(hp.rho, hp.rho_prime, th, eps_list, alpha=args.alpha)
     rows = list(zip(curve.eps_list, curve.lower_bound_bits, curve.upper_bound_bits,
-                    curve.n_used, [curve.gamma_used] * len(curve.eps_list)))
+                    curve.n_used.tolist(), [curve.gamma_used] * len(curve.eps_list)))
     emit(args, ["eps", "lower_bits", "upper_bits", "n_used", "gamma_used"], rows,
          {"command": "bound", "alpha": args.alpha, "D": args.big_d,
           "lower_slope": _fmt(curve.lower_slope),
@@ -284,25 +288,12 @@ def cmd_catalyst(args):
     e, _ = parse_vector(args.eta, args.rationalize)
     ep, _ = parse_vector(args.eta_prime, args.rationalize)
     rep = ct.duan_catalyst(p, pp, e, ep, n=args.n, xi_mode=args.xi_mode)
-    payload = {
-        "n": rep.blocks.n,
-        "block_dims": rep.blocks.block_dims,
-        "D_bits": _fmt(rep.d_nu_gamma),
-        "bound_bits": _fmt(rep.free_energy_bound),
-        "P_tau": _fmt(rep.p_tau),
-        "xi_eps0": _fmt(rep.xi_eps0),
-        "marginal_dev": _fmt(rep.marginal_dev),
-        "params": {"rho": args.rho, "rho_prime": args.rho_prime,
-                   "eta": args.eta, "eta_prime": args.eta_prime,
-                   "xi_mode": args.xi_mode},
-        "code_version": code_version_hash(),
-    }
-    out = sys.stdout if args.out == "-" else open(args.out, "w")
-    try:
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    emit(args, ["n", "D_bits", "bound_bits", "P_tau", "xi_eps0", "marginal_dev"],
+         [(rep.blocks.n, rep.d_nu_gamma, rep.free_energy_bound, rep.p_tau, rep.xi_eps0,
+           rep.marginal_dev)],
+         {"command": "catalyst", "rho": args.rho, "rho_prime": args.rho_prime,
+          "eta": args.eta, "eta_prime": args.eta_prime, "xi_mode": args.xi_mode,
+          "block_dims": "|".join(str(b) for b in rep.blocks.block_dims)})
     return 0
 
 
@@ -447,6 +438,9 @@ def main(argv=None) -> int:
     except ResmonoError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -72,9 +72,7 @@ def sandwiched(rho, sigma, alpha: float) -> float:
     if alpha < 1.0 and _overlap(r, s) <= OVERLAP_TOL:
         return math.inf
     a = mpow(s, (1.0 - alpha) / (2.0 * alpha))
-    m = hermitize(a @ r @ a)
-    w = qmat.spectral_clip(np.linalg.eigvalsh(m))
-    q = float((w ** alpha).sum())
+    q = qmat.trace_power(a @ r @ a, alpha)
     if q <= 0.0:
         return math.inf
     return float(np.log2(q)) / (alpha - 1.0)

@@ -57,10 +57,6 @@ class TheoryUnsupported(ResmonoError):
     pass
 
 
-class BallUnsupported(ResmonoError):
-    pass
-
-
 class DimensionCap(ResmonoError):
     pass
 

@@ -118,18 +118,11 @@ def _coherence_q_obj(rho: np.ndarray, alpha: float):
 
     def obj(q):
         s = q ** c
-        m = hermitize((s[:, None] * rho) * s[None, :])
-        w = qmat.spectral_clip(np.linalg.eigvalsh(m))
-        return float((w ** alpha).sum())
+        return qmat.trace_power((s[:, None] * rho) * s[None, :], alpha)
 
     def grad(q):
         s = q ** c
-        m = hermitize((s[:, None] * rho) * s[None, :])
-        w, u = np.linalg.eigh(m)
-        w = qmat.spectral_clip(w)
-        wp = np.where(w > 0.0, w, np.inf) ** (alpha - 1.0)
-        wp = np.where(w > 0.0, wp, 0.0)
-        inner = (u * wp) @ u.conj().T
+        _, inner = qmat.trace_power_grad((s[:, None] * rho) * s[None, :], alpha)
         rs = rho * s[None, :]
         diag = np.einsum("ij,ji->i", rs, inner).real
         return 2.0 * alpha * c * q ** (c - 1.0) * diag

@@ -163,12 +163,28 @@ def mpow(m, t: float) -> np.ndarray:
     """
     w, u = eigh(m)
     w = spectral_clip(w)
-    if t <= 0:
-        wt = np.where(w > 0.0, w, np.inf) ** t
-        wt = np.where(w > 0.0, wt, 0.0)
-    else:
-        wt = w ** t
+    wt = _support_power(w, t) if t <= 0 else w ** t
     return (u * wt) @ u.conj().T
+
+
+def _support_power(w: np.ndarray, t: float) -> np.ndarray:
+    """w^t on the nonzero entries of a clipped spectrum, 0 on the kernel."""
+    wt = np.where(w > 0.0, w, np.inf) ** t
+    return np.where(w > 0.0, wt, 0.0)
+
+
+def trace_power(m: np.ndarray, alpha: float) -> float:
+    """Tr[m^alpha] of a PSD matrix, from its noise-clipped spectrum."""
+    w = spectral_clip(np.linalg.eigvalsh(hermitize(m)))
+    return float((w ** alpha).sum())
+
+
+def trace_power_grad(m: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """Tr[m^alpha] and m^(alpha-1) taken on supp(m): the derivative of
+    Tr[m^alpha] along a Hermitian h supported on supp(m) is alpha Tr[m^(alpha-1) h]."""
+    w, u = np.linalg.eigh(hermitize(m))
+    w = spectral_clip(w)
+    return float((w ** alpha).sum()), (u * _support_power(w, alpha - 1.0)) @ u.conj().T
 
 
 def sqrtm_psd(m) -> np.ndarray:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from ._parallel import parallel_map
-from .errors import AlphaOutOfRange, BallUnsupported, DimensionCap, TheoryUnsupported
+from .errors import AlphaOutOfRange, DimensionCap, TheoryUnsupported
 from .qmat import asmat, hermitize, mpow, sqrtm_psd
 
 DIM_CAP = 16
@@ -47,7 +46,6 @@ class SmoothingSpec:
     epsilon: float
     alpha: float
     ball: Ball = Ball.SUBNORMALIZED_PURIFIED
-    divergence: str = "sandwiched"
     restarts: int = 20
     max_iters: int = 5000
     grad_tol: float = 1e-9
@@ -125,19 +123,25 @@ class _BallProjector:
             return cand
         # concavity of the root fidelity makes t_safe feasible; bisect toward 0
         t_safe = min(1.0, (self.f_req - rf0) / max(1.0 - rf0, 1e-15) + 1e-12)
-        lo, hi = 0.0, t_safe
-        for _ in range(PROJ_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if self.root_f((1.0 - mid) * cand + mid * self.rho) >= self.f_req:
-                hi = mid
-            else:
-                lo = mid
-        out = hermitize((1.0 - hi) * cand + hi * self.rho)
+        out = _bisect_mix(cand, self.rho, t_safe, lambda m: self.root_f(m) >= self.f_req)
         if self.ball is Ball.NORMALIZED_PURIFIED:
             tr = float(np.trace(out).real)
             if tr > 0:
                 out = out / tr
         return out
+
+
+def _bisect_mix(c: np.ndarray, anchor: np.ndarray, hi: float, feasible) -> np.ndarray:
+    """(1 - t) c + t anchor at the smallest t in [0, hi] that PROJ_BISECT_ITERS
+    halvings find feasible; the mix at hi itself must be feasible."""
+    lo = 0.0
+    for _ in range(PROJ_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if feasible((1.0 - mid) * c + mid * anchor):
+            hi = mid
+        else:
+            lo = mid
+    return hermitize((1.0 - hi) * c + hi * anchor)
 
 
 def _factor(c: np.ndarray) -> np.ndarray:
@@ -157,18 +161,10 @@ class _SandwichedObjective:
         self.a = mpow(sigma, (1.0 - alpha) / (2.0 * alpha))
 
     def q(self, c: np.ndarray) -> float:
-        m = hermitize(self.a @ c @ self.a)
-        w = qmat.spectral_clip(np.linalg.eigvalsh(m))
-        return float((w ** self.alpha).sum())
+        return qmat.trace_power(self.a @ c @ self.a, self.alpha)
 
     def qg(self, c: np.ndarray):
-        m = hermitize(self.a @ c @ self.a)
-        w, u = np.linalg.eigh(m)
-        w = qmat.spectral_clip(w)
-        qv = float((w ** self.alpha).sum())
-        wp = np.where(w > 0.0, w, np.inf) ** (self.alpha - 1.0)
-        wp = np.where(w > 0.0, wp, 0.0)
-        inner = (u * wp) @ u.conj().T
+        qv, inner = qmat.trace_power_grad(self.a @ c @ self.a, self.alpha)
         return qv, hermitize(self.alpha * self.a @ inner @ self.a)
 
 
@@ -262,14 +258,7 @@ class _SubspaceProjector:
             return c
         if not self.anchor_ok:
             return None
-        lo, hi = 0.0, 1.0
-        for _ in range(PROJ_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if self.distance((1.0 - mid) * c + mid * self.anchor) <= self.base.eps:
-                hi = mid
-            else:
-                lo = mid
-        return hermitize((1.0 - hi) * c + hi * self.anchor)
+        return _bisect_mix(c, self.anchor, 1.0, lambda m: self.distance(m) <= self.base.eps)
 
 
 def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball: Ball,
@@ -313,20 +302,16 @@ def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball
     starts += _structured_starts(rho_work, sig, eps, ball)
     starts += _random_starts(rho_work, eps, restarts, seed)
 
-    def run_start(s0):
+    # the first start reaching the strict minimum wins
+    best_q, best_c = math.inf, None
+    for s0 in starts:
         c0 = project(s0)
         if c0 is None or distance(c0) > eps + BALL_SLACK:
-            return math.inf, None
-        q, c = _descend_wrapped(obj, c0, project, max_iters, grad_tol)
+            continue
+        q, c = _descend(obj, c0, project, max_iters, grad_tol)
         if distance(c) > eps + BALL_SLACK:
-            return math.inf, None
-        return q, c
-
-    # restarts are independent; the fold is a deterministic min over start
-    # index, so a thread-count override cannot change the result
-    best_q, best_c = math.inf, None
-    for q, c in parallel_map(run_start, starts):
-        if c is not None and q < best_q:
+            continue
+        if q < best_q:
             best_q, best_c = q, c
     if best_c is None:
         return math.inf if alpha > 1.0 else -math.inf, None
@@ -339,8 +324,10 @@ def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball
     return value, hermitize(best_c)
 
 
-def _descend_wrapped(obj, c0, project, max_iters, grad_tol):
-    """Same loop as _descend but with an externally supplied projection."""
+def _descend(obj, c0, project, max_iters, grad_tol):
+    """Backtracking gradient descent on the factor L of c = L L^dag, each trial
+    retracted by project (which may return None for no feasible point);
+    returns the best (Q, c) seen."""
     c = c0
     q, g = obj.qg(c)
     best_q, best_c = q, c
@@ -392,10 +379,6 @@ def smoothed_sandwiched(rho, sigma, spec: SmoothingSpec, warm_starts=None) -> Sm
     min for alpha > 1. Monotonicity in epsilon can be enforced by passing the
     smaller-epsilon optimizer through warm_starts."""
     alpha = spec.alpha
-    if spec.divergence != "sandwiched":
-        raise BallUnsupported(
-            "smoothed Petz divergences fail data-processing and exist only "
-            "inside the counterexample suite")
     if not (0.5 <= alpha < 1.0 or alpha > 1.0):
         raise AlphaOutOfRange(f"smoothing needs alpha in [1/2,1) or (1,inf), got {alpha}")
     if not 0.0 < spec.epsilon < 1.0:

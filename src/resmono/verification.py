@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._parallel import parallel_map
 from . import catalysis as ct
 from . import constructions as cs
 from . import divergences as dv
@@ -429,6 +428,6 @@ def run_suites(names, seed: int = 0):
     if "all" in names:
         names = list(SUITES)
     results = []
-    for batch in parallel_map(lambda n: SUITES[n](seed), names):
-        results.extend(batch)
+    for name in names:
+        results.extend(SUITES[name](seed))
     return results

@@ -269,3 +269,12 @@ def test_scaling_curve_requires_athermality():
     with pytest.raises(TheoryUnsupported):
         ct.scaling_curve(rep.rho, rep.rho_prime, mn.PureBipartiteEntanglement(3, 3),
                          [0.1], alpha=0.5)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, -1e-3, 2.0, math.nan])
+def test_eps_outside_unit_interval_rejected(eps):
+    rep, th = qutrit_pair()
+    with pytest.raises(ValueError):
+        ct.catalyst_q_bound(rep.rho, rep.rho_prime, th, 0.5, eps)
+    with pytest.raises(ValueError):
+        ct.scaling_curve(rep.rho, rep.rho_prime, th, [1e-2, eps], alpha=0.5)

@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -41,13 +41,15 @@ def test_divergence_matrix_files(tmp_path):
 
 
 def test_monotone_coherence():
-    code, out = run_cli(["monotone", "--theory", "coherence", "--alpha", "1",
-                         "--p", "0.5,0.3,0.2"])
-    assert code == 0
-    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
-    row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    assert abs(float(row["value_bits"])) <= 1e-8
-    assert row["certified"] == "exact"
+    for alpha, label in (("1", "exact"), ("0.5", "heuristic")):
+        code, out = run_cli(["monotone", "--theory", "coherence", "--alpha", alpha,
+                             "--p", "0.5,0.3,0.2"])
+        assert code == 0
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert abs(float(row["value_bits"])) <= 1e-8
+        assert not row["value_bits"].startswith("-0")
+        assert row["certified"] == label
 
 
 def test_smooth_appendix_b_fast():
@@ -99,6 +101,15 @@ def test_bound_curve_csv():
     assert any(l.startswith("# lower_slope=1") for l in out.splitlines())
 
 
+def test_bound_curve_json():
+    code, out = run_cli(["bound", "--alpha", "0.5", "--eps-list", "1e-2,1e-3",
+                         "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["eps"] for r in rows] == ["0.01", "0.001"]
+    assert all(isinstance(r["n_used"], int) for r in rows)
+
+
 def test_exponent_subcommand():
     code, out = run_cli(["exponent", "--p1", "0.6,0.4", "--q1", "0.5,0.5",
                          "--p2", "0.55,0.45", "--q2", "0.5,0.5", "--optimized"])
@@ -108,13 +119,32 @@ def test_exponent_subcommand():
     assert opt >= first - 1e-6
 
 
+CATALYST_ARGV = ["catalyst", "--rho", "0.8,0.2", "--rho-prime", "0.6,0.4",
+                 "--eta", "0.5,0.5", "--eta-prime", "0.5,0.5", "--n", "2"]
+
+
 def test_catalyst_subcommand_json():
-    code, out = run_cli(["catalyst", "--rho", "0.8,0.2", "--rho-prime", "0.6,0.4",
-                         "--eta", "0.5,0.5", "--eta-prime", "0.5,0.5", "--n", "2"])
+    code, out = run_cli(CATALYST_ARGV + ["--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["n"] == 2
-    assert float(payload["D_bits"]) <= float(payload["bound_bits"])
+    row = payload["rows"][0]
+    assert row["n"] == 2
+    assert float(row["D_bits"]) <= float(row["bound_bits"])
+    assert payload["meta"]["command"] == "catalyst"
+
+
+def test_catalyst_subcommand_csv():
+    code, out = run_cli(CATALYST_ARGV)
+    assert code == 0
+    meta = dict(l[2:].split("=", 1) for l in out.splitlines() if l.startswith("# "))
+    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    assert lines[0] == "n,D_bits,bound_bits,P_tau,xi_eps0,marginal_dev"
+    assert len(lines) == 2
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["n"] == "2"
+    assert float(row["D_bits"]) <= float(row["bound_bits"])
+    assert "," not in meta["block_dims"]
+    assert len(meta["block_dims"].split("|")) == 2
 
 
 def test_verify_fast_suite_exit_zero():
@@ -128,6 +158,21 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["monotone"])     # missing required --theory
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--eps-list", "0,1e-2"],
+    ["monotone", "--theory", "coherence", "--p", "0.5,0.7"],
+    ["monotone", "--theory", "coherence", "--p", "0.5,abc"],
+], ids=["eps_zero", "sum_above_one", "not_a_number"])
+def test_bad_input_exit_two(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(argv)
+    assert code == 2
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("usage error: ")
+    assert err.getvalue().count("\n") == 1
 
 
 def test_numerical_failure_exit_three():

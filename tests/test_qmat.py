@@ -47,6 +47,38 @@ def test_mpow_kernel_convention():
     assert np.allclose(m, np.diag([math.sqrt(2.0), 0.0]), atol=1e-12)
 
 
+def _rank_deficient(d=4, rank=2, seed=5):
+    """A PSD matrix with known spectrum, its support basis and its kernel basis."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    u, _ = np.linalg.qr(g)
+    w = np.zeros(d)
+    w[:rank] = rng.uniform(0.1, 0.6, rank)
+    return (u * w) @ u.conj().T, w[:rank], u[:, :rank], u[:, rank:]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0])
+def test_trace_power_rank_deficient(alpha):
+    m, w, _, kernel = _rank_deficient()
+    expected = float((w ** alpha).sum())
+    assert abs(qmat.trace_power(m, alpha) - expected) <= 1e-12
+    val, grad = qmat.trace_power_grad(m, alpha)
+    assert abs(val - expected) <= 1e-12
+    assert np.max(np.abs(grad @ kernel)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0])
+def test_trace_power_grad_matches_central_difference(alpha):
+    m, _, support, _ = _rank_deficient()
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    h = support @ (x + x.conj().T) @ support.conj().T    # Hermitian, on supp(m)
+    t = 1e-5
+    fd = (qmat.trace_power(m + t * h, alpha) - qmat.trace_power(m - t * h, alpha)) / (2.0 * t)
+    _, grad = qmat.trace_power_grad(m, alpha)
+    assert abs(fd - alpha * float(np.trace(grad @ h).real)) <= 1e-7
+
+
 def test_fidelity_normalized_self():
     rho = qmat.random_state(3, 3, seed=0).data
     assert abs(qmat.fidelity(rho, rho) - 1.0) <= 1e-12
