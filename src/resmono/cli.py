@@ -24,7 +24,7 @@ from . import monotones as mn
 from . import qmat
 from . import smoothing as sm
 from . import verification as vf
-from .errors import ResmonoError
+from .errors import InputError, ResmonoError
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -94,6 +94,8 @@ def parse_vector(text, rationalize=None):
 
 
 def load_matrix(path) -> np.ndarray:
+    if not os.path.isfile(path):
+        raise InputError(f"no such matrix file: {path}")
     with open(path) as fh:
         return qmat.matrix_from_json(fh.read())
 
@@ -104,7 +106,7 @@ def _state_arg(args, name_matrix, name_vector, rationalize=None):
         return load_matrix(path), None
     vec = getattr(args, name_vector, None)
     if vec is None:
-        raise ResmonoError(f"need --{name_matrix.replace('_', '-')} or --{name_vector.replace('_', '-')}")
+        raise InputError(f"need --{name_matrix.replace('_', '-')} or --{name_vector.replace('_', '-')}")
     v, fr = parse_vector(vec, rationalize)
     return v, fr
 
@@ -172,6 +174,8 @@ def cmd_smooth(args):
         emit(args, list(table[0]), table[1:],
              {"command": "smooth", "alpha": args.alpha, "eps": args.eps})
         return 0
+    if args.rho is None or args.sigma is None:
+        raise InputError("smooth needs --rho and --sigma, or --appendix-b")
     rho = load_matrix(args.rho)
     sig = load_matrix(args.sigma)
     ball = {"subnormalized": sm.Ball.SUBNORMALIZED_PURIFIED,
@@ -208,6 +212,9 @@ def cmd_regions(args):
 
 def cmd_sweep(args):
     g, _ = parse_vector(args.gamma, args.rationalize)
+    if g.shape != (2,) or g.min() <= 0.0 or abs(g.sum() - 1.0) > 1e-10:
+        raise InputError("sweep needs a normalized qubit Gibbs vector with full support, "
+                         f"got {args.gamma}")
     gamma = np.diag(g.astype(complex))
     grid, rep = cs.bloch_sweep(gamma, args.grid, args.level, theta_points=args.theta_points)
     d = rep.diagnostics
@@ -435,12 +442,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ResmonoError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:       # every InputError, and malformed numbers
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ResmonoError as exc:     # NumericalFailure
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import divergences as dv
 from . import qmat
-from .errors import (DimensionOverflow, InfeasibleRounding, InvalidGibbs,
-                     NotRational, SupportViolation)
+from .errors import (DimensionMismatch, DimensionOverflow, InfeasibleRounding,
+                     InvalidGibbs, NotRational, SupportViolation)
 from .qmat import ClassicalDist, DensityOperator
 
 EMBED_DIM_CAP = 10 ** 6
@@ -463,6 +463,9 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     """
     pv = p.probs if isinstance(p, ClassicalDist) else np.asarray(p, dtype=float)
     gv = gamma.probs if isinstance(gamma, ClassicalDist) else np.asarray(gamma, dtype=float)
+    if pv.shape != (3,) or gv.shape != (3,):
+        raise DimensionMismatch(f"the 3-simplex needs p and gamma of 3 entries each, "
+                                f"got shapes {pv.shape} and {gv.shape}")
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
     alpha_grid = np.asarray(alpha_grid, dtype=float)

@@ -49,6 +49,14 @@ def _overlap(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.trace(uk.conj().T @ rho @ uk).real)
 
 
+def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """rho and sigma as matrices, rejected unless their shapes agree."""
+    r, s = asmat(rho), asmat(sigma)
+    if r.shape != s.shape:
+        raise DimensionMismatch(f"rho has shape {r.shape} but sigma has shape {s.shape}")
+    return r, s
+
+
 def sandwiched(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence log2 Tr(s^((1-a)/2a) r s^((1-a)/2a))^a / (a-1).
 
@@ -57,11 +65,11 @@ def sandwiched(rho, sigma, alpha: float) -> float:
     """
     if alpha < 0.5:
         raise AlphaOutOfRange(f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
+    r, s = _pair(rho, sigma)
     if math.isinf(alpha):
-        return dmax(rho, sigma)
+        return dmax(r, s)
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-        return umegaki(rho, sigma)
-    r, s = asmat(rho), asmat(sigma)
+        return umegaki(r, s)
     if alpha == 0.5:
         rf = nuclear_norm(sqrtm_psd(r) @ sqrtm_psd(s))
         if rf <= 0.0:
@@ -80,11 +88,11 @@ def sandwiched(rho, sigma, alpha: float) -> float:
 
 def petz(rho, sigma, alpha: float) -> float:
     """Petz Renyi divergence log2 Tr[rho^a sigma^(1-a)] / (a - 1)."""
+    r, s = _pair(rho, sigma)
     if not (0.0 < alpha <= 2.0) or abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
         if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-            return umegaki(rho, sigma)
+            return umegaki(r, s)
         raise AlphaOutOfRange(f"Petz divergence needs alpha in (0,1)U(1,2], got {alpha}")
-    r, s = asmat(rho), asmat(sigma)
     if alpha > 1.0 and _support_leak(r, s) > OVERLAP_TOL:
         return math.inf
     if alpha < 1.0 and _overlap(r, s) <= OVERLAP_TOL:
@@ -97,7 +105,7 @@ def petz(rho, sigma, alpha: float) -> float:
 
 def umegaki(rho, sigma) -> float:
     """Umegaki relative entropy Tr rho (log2 rho - log2 sigma), +inf off support."""
-    r, s = asmat(rho), asmat(sigma)
+    r, s = _pair(rho, sigma)
     if _support_leak(r, s) > OVERLAP_TOL:
         return math.inf
     wr, ur = eigh(r)
@@ -113,7 +121,7 @@ def umegaki(rho, sigma) -> float:
 
 def dmax(rho, sigma) -> float:
     """Max-divergence inf{lam : rho <= 2^lam sigma} in bits."""
-    r, s = asmat(rho), asmat(sigma)
+    r, s = _pair(rho, sigma)
     if _support_leak(r, s) > OVERLAP_TOL:
         return math.inf
     x = mpow(s, -0.5)

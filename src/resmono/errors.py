@@ -1,65 +1,78 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is an `InputError` (the arguments are malformed or out of range;
+the command line exits 2) or a `NumericalFailure` (a computation on valid
+arguments cannot deliver; the command line exits 3).
+"""
 
 
 class ResmonoError(Exception):
     """Base class for all package errors."""
 
 
-class NonHermitian(ResmonoError):
+class InputError(ResmonoError, ValueError):
+    """The arguments are malformed, out of range or of mismatched shapes."""
+
+
+class NumericalFailure(ResmonoError):
+    """A computation on well-formed arguments has no valid result."""
+
+
+class NonHermitian(InputError):
     pass
 
 
-class DimensionMismatch(ResmonoError):
+class DimensionMismatch(InputError):
     pass
 
 
-class InvalidRank(ResmonoError):
+class InvalidRank(InputError):
     pass
 
 
-class AlphaOutOfRange(ResmonoError):
+class AlphaOutOfRange(InputError):
     pass
 
 
-class SupportViolation(ResmonoError):
+class SupportViolation(NumericalFailure):
     pass
 
 
-class DegenerateVariance(ResmonoError):
+class DegenerateVariance(NumericalFailure):
     pass
 
 
-class NoFeasiblePoint(ResmonoError):
+class NoFeasiblePoint(NumericalFailure):
     pass
 
 
-class HypothesisViolated(ResmonoError):
+class HypothesisViolated(NumericalFailure):
     """A bound's hypothesis fails, e.g. the pair is not hard at this order."""
 
 
-class InfeasibleRounding(ResmonoError):
+class InfeasibleRounding(NumericalFailure):
     pass
 
 
-class NotRational(ResmonoError):
+class NotRational(InputError):
     pass
 
 
-class DimensionOverflow(ResmonoError):
+class DimensionOverflow(InputError):
     pass
 
 
-class InvalidXi(ResmonoError):
+class InvalidXi(InputError):
     pass
 
 
-class TheoryUnsupported(ResmonoError):
+class TheoryUnsupported(InputError):
     pass
 
 
-class DimensionCap(ResmonoError):
+class DimensionCap(InputError):
     pass
 
 
-class InvalidGibbs(ResmonoError):
-    pass
+class InvalidGibbs(NumericalFailure):
+    """The Gibbs state is not normalized or lacks full support."""

@@ -27,6 +27,8 @@ from .qmat import ClassicalDist, DensityOperator, asmat, hermitize
 SIMPLEX_TOL = 1e-10      # objective-decrement stopping tolerance
 PURITY_TOL = 1e-10
 MULT_DIM_CAP = 16
+KAPPA_CAP = 1e8           # largest condition number of a reported dual R
+EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ class PureBipartiteEntanglement(ResourceTheory):
 # simplex optimizers (entropic mirror descent keeps iterates interior)
 # ---------------------------------------------------------------------------
 
-def _mirror_opt(obj, grad, d, maximize, starts, iters=2000, tol=SIMPLEX_TOL):
+def _mirror_opt(obj, grad, maximize, starts, iters=2000, tol=SIMPLEX_TOL):
     sign = 1.0 if maximize else -1.0
     best_val, best_q = -math.inf, None
     for q0 in starts:
@@ -150,17 +152,15 @@ def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = 2000,
     stationary point of the mirror iteration is a global optimum.
     """
     r = asmat(rho)
-    d = r.shape[0]
     if abs(alpha - 1.0) < dv.ALPHA_ONE_WINDOW:
         q = np.clip(np.diag(r).real, 0.0, None)
         return relative_entropy_coherence(r), q / max(q.sum(), 1e-300)
     if math.isinf(alpha):
-        val, q = _robustness_coherence(r)
-        return val, q
+        return _robustness_coherence(r)
     obj, grad = _coherence_q_obj(r, alpha)
     starts = _simplex_starts(r, restarts, seed)
     maximize = alpha < 1.0
-    qval, qarg = _mirror_opt(obj, grad, d, maximize, starts, iters=iters)
+    qval, qarg = _mirror_opt(obj, grad, maximize, starts, iters=iters)
     if qval <= 0.0:
         return math.inf, qarg
     return float(np.log2(qval)) / (alpha - 1.0), qarg
@@ -234,16 +234,26 @@ def fidelity_coherence_primal(rho, restarts: int = 10, iters: int = 3000,
     r = asmat(rho)
     obj, grad = _coherence_q_obj(r, 0.5)   # Tr[M^1/2] = root fidelity to diag(q)
     starts = _simplex_starts(r, restarts, seed)
-    root, q = _mirror_opt(obj, grad, r.shape[0], True, starts, iters=iters)
+    root, q = _mirror_opt(obj, grad, True, starts, iters=iters)
     return CoherencePrimal(value=float(root ** 2), argmax=q)
 
 
 def fidelity_coherence_dual(rho, restarts: int = 10, floor: float = 1e-10,
                             seed: int = 0) -> CoherenceDual:
-    """Alberti-form dual: every iterate upper-bounds the fidelity of coherence.
+    """Alberti-form dual: a certified upper bound on the fidelity of coherence.
 
     R is parameterized as N N^dag + floor*I with unit-norm rows of N, which
     pins ||Delta(R)||_inf = 1 + floor and removes the scale flat direction.
+    L-BFGS-B minimizes Tr[rho R^-1] (1 + floor) with its analytic gradient.
+
+    The optimizer's objective is not the reported value: near the optimum R
+    is nearly singular, and a float evaluation of Tr[rho R^-1] there can fall
+    below the true value by far more than its last digit. So the winning R is
+    lifted by delta*I until its condition number is at most KAPPA_CAP (any
+    R > 0 is dual-feasible), evaluated once through `eigh` as
+    sum_i (U^dag rho U)_ii / w_i * max diag R, and multiplied by the rounding
+    margin 1 + 4 d eps kappa. `value` is thus an upper bound on the exact
+    dual objective at `argmin_r`, the lifted R, and hence on F_coh(rho).
     """
     r = asmat(rho)
     d = r.shape[0]
@@ -251,31 +261,37 @@ def fidelity_coherence_dual(rho, restarts: int = 10, floor: float = 1e-10,
 
     def unpack(x):
         m = x[:d * d].reshape(d, d) + 1j * x[d * d:].reshape(d, d)
-        norms = np.sqrt((np.abs(m) ** 2).sum(axis=1))
-        return m / np.clip(norms, 1e-12, None)[:, None]
+        norms = np.clip(np.sqrt((np.abs(m) ** 2).sum(axis=1)), 1e-12, None)[:, None]
+        return m / norms, norms
 
-    def obj(x):
-        n = unpack(x)
-        big = n @ n.conj().T + floor * eye
+    def obj_grad(x):
+        n, norms = unpack(x)
         try:
-            inv = np.linalg.inv(big)
+            inv = np.linalg.inv(n @ n.conj().T + floor * eye)
         except np.linalg.LinAlgError:
-            return 1e6
-        return float(np.trace(r @ inv).real) * (1.0 + floor)
+            return 1e6, np.zeros_like(x)
+        g = -2.0 * (1.0 + floor) * (inv @ r @ inv) @ n
+        g = (g - np.sum(g * n.conj(), axis=1).real[:, None] * n) / norms   # through n_i = m_i/|m_i|
+        return (float(np.trace(r @ inv).real) * (1.0 + floor),
+                np.concatenate([g.real, g.imag]).ravel())
 
     rng = np.random.default_rng(seed)
-    best_val, best_x = math.inf, None
     inits = [np.eye(d, dtype=complex), qmat.sqrtm_psd(r + floor * eye)]
     while len(inits) < restarts:
         inits.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    for m0 in inits[:restarts]:
-        x0 = np.concatenate([np.asarray(m0).real.reshape(-1), np.asarray(m0).imag.reshape(-1)])
-        res = optimize.minimize(obj, x0, method="L-BFGS-B",
-                                options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
-    n = unpack(best_x)
-    return CoherenceDual(value=float(best_val), argmin_r=hermitize(n @ n.conj().T + floor * eye))
+    fits = [optimize.minimize(obj_grad, np.concatenate([m0.real, m0.imag]).ravel(), jac=True,
+                              method="L-BFGS-B",
+                              options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
+            for m0 in inits[:restarts]]
+    n, _ = unpack(min(fits, key=lambda res: res.fun).x)
+    big = hermitize(n @ n.conj().T + floor * eye)
+    # certification: cap the condition number, then one eigh evaluation
+    w, u = np.linalg.eigh(big)
+    lift = max(0.0, (w[-1] - KAPPA_CAP * w[0]) / (KAPPA_CAP - 1.0))
+    big, w = big + lift * eye, w + lift
+    t = np.einsum("ji,jk,ki->i", u.conj(), r, u).real
+    value = float(np.sum(t / w)) * float(np.max(np.diag(big).real))
+    return CoherenceDual(value=value * (1.0 + 4.0 * d * EPS * w[-1] / w[0]), argmin_r=big)
 
 
 @dataclass
@@ -300,45 +316,55 @@ def multiplicativity_check(rho, tau, restarts: int = 10, seed: int = 0) -> Multi
 # generalized robustness
 # ---------------------------------------------------------------------------
 
-def _feasible_dmax_coherence(c: np.ndarray, iters: int = 400) -> tuple[bool, float]:
+def _feasible_dmax_coherence(c: np.ndarray, iters: int = 400) -> tuple[bool, np.ndarray]:
     """Is there a diagonal state q with diag(q) >= c? Subgradient descent on
-    min over the simplex of lambda_max(c - diag q)."""
+    min over the simplex of lambda_max(c - diag q). Returns the verdict and the
+    q with the least lambda_max found, which witnesses a True verdict."""
     d = c.shape[0]
     diag = np.clip(np.diag(c).real, 1e-12, None)
-    best = math.inf
+    best, best_q = math.inf, None
     for q0 in (np.full(d, 1.0 / d), diag / diag.sum()):
         q = q0.copy()
-        q_avg = q.copy()
         for t in range(iters):
             w, u = np.linalg.eigh(hermitize(c - np.diag(q)))
             val = float(w[-1])
             if val < best:
-                best = val
+                best, best_q = val, q
             if best <= 0.0:
-                return True, best
+                return True, best_q
             g = -np.abs(u[:, -1]) ** 2
             eta = 0.5 / math.sqrt(t + 1.0)
             q = q * np.exp(-eta * g / max(np.max(np.abs(g)), 1e-15))
             q = q / q.sum()
-        w = np.linalg.eigvalsh(hermitize(c - np.diag(q)))
-        best = min(best, float(w[-1]))
-    return best <= 1e-9, best
+        val = float(np.linalg.eigvalsh(hermitize(c - np.diag(q)))[-1])
+        if val < best:
+            best, best_q = val, q
+    return best <= 1e-9, best_q
 
 
 def _robustness_coherence(r: np.ndarray, tol: float = 1e-7):
+    """Bisection on log2 of the robustness; returns its certified upper end hi
+    with the diagonal state q that makes 2^hi diag(q) >= rho."""
+    d = r.shape[0]
     top = float(np.linalg.eigvalsh(hermitize(r))[-1])
-    hi = math.log2(max(r.shape[0] * top, 1.0)) + 1e-6
+    hi = math.log2(max(d * top, 1.0)) + 1e-6
+    q_hi = np.full(d, 1.0 / d)     # 2^hi / d >= lambda_max(rho) at the starting hi
     lo = 0.0
     if _feasible_dmax_coherence(r)[0]:
         return 0.0, np.clip(np.diag(r).real, 0, None)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        ok, _ = _feasible_dmax_coherence(2.0 ** (-mid) * r)
+        ok, q = _feasible_dmax_coherence(2.0 ** (-mid) * r)
         if ok:
-            hi = mid
+            hi, q_hi = mid, q
         else:
             lo = mid
-    return hi, None
+    # the bisection accepts lambda_max(c - diag q) <= 1e-9; spread any shortfall
+    # of 2^hi diag(q) - rho over the diagonal, so that the returned pair has
+    # 2^hi diag(q) >= rho up to the rounding of one eigvalsh
+    short = max(0.0, -float(np.linalg.eigvalsh(hermitize(2.0 ** hi * np.diag(q_hi) - r))[0]))
+    scale = 2.0 ** hi + d * short
+    return math.log2(scale), (2.0 ** hi * q_hi + short) / scale
 
 
 def generalized_robustness(rho, theory: ResourceTheory, tol: float = 1e-7) -> float:

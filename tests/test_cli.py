@@ -164,7 +164,16 @@ def test_usage_error_exit_two():
     ["bound", "--eps-list", "0,1e-2"],
     ["monotone", "--theory", "coherence", "--p", "0.5,0.7"],
     ["monotone", "--theory", "coherence", "--p", "0.5,abc"],
-], ids=["eps_zero", "sum_above_one", "not_a_number"])
+    ["smooth"],
+    ["divergence", "--rho", "no/such/rho.json", "--sigma", "no/such/sigma.json"],
+    ["divergence", "--kind", "petz", "--p", "0.5,0.5", "--q", "0.3,0.3,0.4"],
+    ["regions", "--p", "0.5,0.5", "--gamma", "0.3,0.3,0.4"],
+    ["divergence", "--kind", "sandwiched", "--p", "0.5,0.5", "--q", "0.3,0.3,0.4"],
+    CATALYST_ARGV[:-1] + ["0"],
+    ["sweep", "--gamma", "1,0"],
+], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
+        "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
+        "sweep_rank_deficient_gamma"])
 def test_bad_input_exit_two(argv):
     err = io.StringIO()
     with redirect_stderr(err):

@@ -7,8 +7,8 @@ import pytest
 from resmono import constructions as cs
 from resmono import divergences as dv
 from resmono import monotones as mn
-from resmono.errors import (InfeasibleRounding, InvalidGibbs, NotRational,
-                            SupportViolation)
+from resmono.errors import (DimensionMismatch, InfeasibleRounding, InvalidGibbs,
+                            NotRational, SupportViolation)
 
 FIG1_P = np.array([2 / 3, 1 / 12, 3 / 12])
 FIG1_GAMMA = np.array([0.7, 0.2, 0.1])
@@ -225,3 +225,8 @@ def test_classify_regions_exact_gridpoints_fo():
     d = np.abs(grid.points - FIG1_P).sum(axis=1)
     assert d.min() <= 1e-12
     assert grid.labels[int(np.argmin(d))] == "FO"
+
+
+def test_classify_regions_rejects_mismatched_shapes():
+    with pytest.raises(DimensionMismatch, match=r"\(2,\).*\(3,\)"):
+        cs.classify_simplex_regions(np.array([0.5, 0.5]), FIG1_GAMMA, 10)

@@ -170,6 +170,16 @@ def test_classical_renyi_matches_diagonal_sandwiched():
         dv.classical_renyi(p, np.array([0.5, 0.5]), 1.0)
 
 
+def test_quantum_divergences_reject_mismatched_shapes():
+    rho3 = np.eye(3, dtype=complex) / 3.0
+    calls = [lambda: dv.sandwiched(SIG2, rho3, 0.75), lambda: dv.sandwiched(SIG2, rho3, 1.0),
+             lambda: dv.petz(SIG2, rho3, 0.5), lambda: dv.umegaki(SIG2, rho3),
+             lambda: dv.dmax(SIG2, rho3)]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match=r"\(2, 2\).*\(3, 3\)"):
+            call()
+
+
 def test_alpha_monotonicity_spot():
     a = qmat.random_state(3, 3, seed=20).data
     b = qmat.random_state(3, 3, seed=21).data

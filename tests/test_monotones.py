@@ -176,6 +176,54 @@ def test_primal_dual_agreement_random():
         assert abs(p - dl) <= 1e-5
 
 
+def test_dual_gradient_matches_central_difference(monkeypatch):
+    # the objective-and-gradient callable the dual hands to the optimizer
+    seen = []
+    minimize = mn.optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        seen.append(fun)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(mn.optimize, "minimize", spy)
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 4):
+        rho = qmat.random_state(d, d, seed=20 + d).data
+        mn.fidelity_coherence_dual(rho, restarts=1)
+        fun = seen[-1]
+        for _ in range(4):
+            x = rng.standard_normal(2 * d * d)
+            v = rng.standard_normal(2 * d * d)
+            h = 1e-6
+            fd = (fun(x + h * v)[0] - fun(x - h * v)[0]) / (2.0 * h)
+            assert abs(float(fun(x)[1] @ v) - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_dual_certified_on_maximally_coherent_states():
+    # F_coh(Phi_d) = 1/d exactly; a float evaluation at the optimizer's nearly
+    # singular R used to read below it at d = 5 and 6
+    for d in range(2, 9):
+        res = mn.fidelity_coherence_dual(plus_state(d), restarts=6)
+        assert res.value >= 1.0 / d
+        assert res.value - 1.0 / d <= 1e-6
+
+
+def test_dual_value_bounds_float_reevaluation():
+    eps = np.finfo(float).eps
+    states = [plus_state(d) for d in (3, 5, 6)]
+    states += [qmat.random_state(d, d, seed=70 + d).data for d in (2, 3, 4, 5)]
+    for rho in states:
+        d = rho.shape[0]
+        res = mn.fidelity_coherence_dual(rho, restarts=6)
+        w = np.linalg.eigvalsh(res.argmin_r)
+        kappa = w[-1] / w[0]
+        # the cap, up to the rounding of eigvalsh in the smallest eigenvalue
+        assert w[0] > 0 and kappa <= mn.KAPPA_CAP * (1.0 + 1e-6)
+        direct = (float(np.trace(rho @ np.linalg.inv(res.argmin_r)).real)
+                  * float(np.max(np.diag(res.argmin_r).real)))
+        assert res.value >= direct * (1.0 - 4.0 * d * eps * kappa)
+
+
 def test_multiplicativity():
     diag_a = np.diag([0.7, 0.3]).astype(complex)
     diag_b = np.diag([0.2, 0.8]).astype(complex)
@@ -217,6 +265,20 @@ def test_robustness_chain_random():
             dh = mn.monotone_alpha(rho, th, 0.5)
             assert rob >= d1 - 1e-6
             assert d1 >= dh - 1e-6
+
+
+def test_robustness_certified_on_pure_states():
+    # log2 (sum_i |psi_i|)^2 exactly (Napoli et al., PRL 116, 150502 (2016));
+    # the returned q certifies the upper end: 2^value diag(q) >= rho
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 4, 5):
+        for _ in range(2):
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psi /= np.linalg.norm(psi)
+            rho = np.outer(psi, psi.conj())
+            val, q = mn.coherence_monotone(rho, math.inf)
+            assert abs(val - math.log2(np.sum(np.abs(psi)) ** 2)) <= 1e-6
+            assert np.linalg.eigvalsh(2.0 ** val * np.diag(q) - rho)[0] >= -1e-9
 
 
 def test_robustness_theory_unsupported():
