@@ -122,8 +122,13 @@ def asmat(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
+def dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., n, n)."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + dag(m)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +154,10 @@ def spectral_clip(w: np.ndarray) -> np.ndarray:
 
     Fractional powers amplify eigensolver noise (1e-16 noise contributes 1e-8
     to sum w^(1/2)), so rank-deficient inputs must be cleaned before powers.
+    A stack of spectra (..., n) is cleaned row by row.
     """
-    w = np.clip(w, 0.0, None)
-    thr = max(KERNEL_TOL, 1e-14 * float(w.max(initial=0.0)))
+    w = np.maximum(w, 0.0)
+    thr = np.maximum(1e-14 * w.max(axis=-1, keepdims=True, initial=0.0), KERNEL_TOL)
     return np.where(w > thr, w, 0.0)
 
 
@@ -173,18 +179,26 @@ def _support_power(w: np.ndarray, t: float) -> np.ndarray:
     return np.where(w > 0.0, wt, 0.0)
 
 
-def trace_power(m: np.ndarray, alpha: float) -> float:
-    """Tr[m^alpha] of a PSD matrix, from its noise-clipped spectrum."""
+def _scalar(x: np.ndarray):
+    """A float for the result of one matrix, the array for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
+def trace_power(m: np.ndarray, alpha: float):
+    """Tr[m^alpha] of a PSD matrix, from its noise-clipped spectrum; an array
+    of values for a stack of matrices (S, n, n)."""
     w = spectral_clip(np.linalg.eigvalsh(hermitize(m)))
-    return float((w ** alpha).sum())
+    return _scalar((w ** alpha).sum(axis=-1))
 
 
-def trace_power_grad(m: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+def trace_power_grad(m: np.ndarray, alpha: float):
     """Tr[m^alpha] and m^(alpha-1) taken on supp(m): the derivative of
-    Tr[m^alpha] along a Hermitian h supported on supp(m) is alpha Tr[m^(alpha-1) h]."""
+    Tr[m^alpha] along a Hermitian h supported on supp(m) is alpha Tr[m^(alpha-1) h].
+    On a stack (S, n, n), both come back per matrix."""
     w, u = np.linalg.eigh(hermitize(m))
     w = spectral_clip(w)
-    return float((w ** alpha).sum()), (u * _support_power(w, alpha - 1.0)) @ u.conj().T
+    inner = (u * _support_power(w, alpha - 1.0)[..., None, :]) @ dag(u)
+    return _scalar((w ** alpha).sum(axis=-1)), inner
 
 
 def sqrtm_psd(m) -> np.ndarray:

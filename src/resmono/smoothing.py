@@ -6,6 +6,14 @@ minimum. Either way the trace functional Q = Tr[(A rho~ A)^alpha] is driven
 downhill (1/(alpha-1) flips the sense for alpha < 1), by projected gradient
 descent on a factor L with rho~ = L L^dag, multi-restart.
 
+The engine works on stacks of candidates (S, d, d). All starts descend
+together as one stack: each keeps its own step, stall count and
+backtracking, and stops on its own. The winner is the first start, in start
+order, that reaches the strict minimum. A root fidelity is one eigvalsh of
+an r x r matrix, r = rank(rho), and the retraction into the ball finds its
+boundary point with a few stacked eigvalsh calls over a grid of mixing
+weights (_BallProjector, _grid_search).
+
 Returned values are certified only as one-sided heuristic bounds: any feasible
 point lower-bounds a supremum and upper-bounds an infimum. Acceptance-grade
 instances are those with known analytic optimizers, which are included among
@@ -21,12 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import AlphaOutOfRange, DimensionCap, TheoryUnsupported
-from .qmat import asmat, hermitize, mpow, sqrtm_psd
+from .errors import AlphaOutOfRange, DimensionCap, ResmonoError, TheoryUnsupported
+from .qmat import asmat, dag, hermitize, mpow, sqrtm_psd
 
 DIM_CAP = 16
 BALL_SLACK = 1e-8        # allowed feasibility slack on returned optimizers
-PROJ_BISECT_ITERS = 12
+GRID_POINTS = 16         # grid points per level of the boundary search, ends included
+GRID_LEVELS = 3          # 16**3 = 2**12 cells: the resolution of twelve halvings
 
 
 class Ball(enum.Enum):
@@ -73,84 +82,152 @@ class DpCheckResult:
 # ball geometry
 # ---------------------------------------------------------------------------
 
-class _BallProjector:
-    """Scale-and-mix retraction into the ball around a fixed center rho.
+def _trace(c: np.ndarray) -> np.ndarray:
+    return np.trace(c, axis1=-2, axis2=-1).real
 
-    Precomputes sqrt(rho) so that a root-fidelity evaluation costs one
-    eigendecomposition of the candidate plus one SVD.
+
+def _mix(x: np.ndarray, y, t: np.ndarray) -> np.ndarray:
+    """(1 - t) x + t y for each row of the stack x and a single y; t has shape
+    (S,) for one mix per row or (S, K) for K mixes of each row."""
+    t = t.reshape(t.shape + (1,) * (x.ndim - 1))
+    if t.ndim > x.ndim:
+        x = x[:, None]
+    return (1.0 - t) * x + t * y
+
+
+def _grid_search(inside, hi: np.ndarray) -> np.ndarray:
+    """Per row, the least t = hi j / 16**3 (j = 1 .. 16**3) that inside accepts,
+    for a predicate monotone in t that holds at t = hi.
+
+    This is the point twelve halvings of [0, hi] reach. Each of the
+    GRID_LEVELS levels calls inside once, on t of shape (S, GRID_POINTS - 1),
+    and keeps the cell below the first accepted point.
+    """
+    cells = GRID_POINTS ** GRID_LEVELS
+    lo = np.zeros(len(hi), dtype=np.int64)
+    width = cells
+    k = np.arange(1, GRID_POINTS)
+    for _ in range(GRID_LEVELS):
+        width //= GRID_POINTS
+        ok = inside(hi[:, None] * ((lo[:, None] + width * k) / cells))
+        # no point accepted: the top cell, which ends at the feasible hi
+        lo += width * np.where(ok.any(axis=1), ok.argmax(axis=1), GRID_POINTS - 1)
+    return hi * ((lo + 1) / cells)
+
+
+class _BallProjector:
+    """Scale-and-mix retraction of a stack of candidates into the ball of
+    radius eps around rho.
+
+    Candidates are scaled to trace one (normalized ball) or to at most one,
+    then mixed toward an anchor until they reach the ball. Without compress
+    the candidates live in C^d and the anchor is rho. With compress (d x k
+    orthonormal columns, the support of a singular sigma at alpha > 1) they
+    live in that subspace, are measured against rho after embedding, and the
+    anchor is the normalized compression of rho; when even the anchor misses
+    the ball, no feasible point is reported.
+
+    Root fidelities are computed on supp(rho). With W = U_r diag(sqrt(w_r))
+    from the clipped spectrum of rho, Tr|sqrt(c) sqrt(rho)| is the sum of the
+    square roots of the eigenvalues of the r x r matrix W^dag c W: one eigvalsh
+    per candidate. Unlike sqrt(rho) c sqrt(rho), it has no eigenvalues on the
+    kernel of rho, which would be rounding noise that the square root
+    amplifies. W^dag c W is linear in c, so along a mix it is affine in the mixing
+    weight, and each level of _grid_search is one stacked eigvalsh over every
+    pending candidate and grid point. The trace ball around rho keeps its
+    closed form: mixing toward the center shrinks the distance linearly.
     """
 
-    def __init__(self, rho: np.ndarray, eps: float, ball: Ball):
+    def __init__(self, rho: np.ndarray, eps: float, ball: Ball, compress=None):
         self.rho = rho
         self.eps = eps
         self.ball = ball
-        self.sqrt_rho = sqrtm_psd(rho)
+        self.v = compress
+        w, u = qmat.eigh(rho)
+        w = qmat.spectral_clip(w)
+        self.w = u[:, w > 0.0] * np.sqrt(w[w > 0.0])
         self.tr_rho = float(np.trace(rho).real)
         self.f_req = math.sqrt(max(0.0, 1.0 - eps * eps))
-
-    def root_f(self, cand: np.ndarray) -> float:
-        w, u = np.linalg.eigh(hermitize(cand))
-        sc = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-        overlap = float(np.linalg.svd(sc @ self.sqrt_rho, compute_uv=False).sum())
-        deficit = math.sqrt(max(0.0, 1.0 - float(np.trace(cand).real))
-                            * max(0.0, 1.0 - self.tr_rho))
-        return min(overlap + deficit, 1.0)
-
-    def distance(self, cand: np.ndarray) -> float:
-        if self.ball is Ball.SUBNORMALIZED_TRACE:
-            return qmat.gen_trace_distance(cand, self.rho)
-        return math.sqrt(max(0.0, 1.0 - self.root_f(cand) ** 2))
-
-    def project(self, cand: np.ndarray) -> np.ndarray:
-        cand = hermitize(cand)
-        tr = float(np.trace(cand).real)
-        if tr <= 0.0:
-            return self.rho.copy()
-        if self.ball is Ball.NORMALIZED_PURIFIED:
-            cand = cand / tr
-        elif tr > 1.0:
-            cand = cand / tr
-
-        if self.ball is Ball.SUBNORMALIZED_TRACE:
-            delta = qmat.gen_trace_distance(cand, self.rho)
-            if delta <= self.eps:
-                return cand
-            t = 1.0 - self.eps / delta
-            return hermitize((1.0 - t) * cand + t * self.rho)
-
-        rf0 = self.root_f(cand)
-        if rf0 >= self.f_req:
-            return cand
-        # concavity of the root fidelity makes t_safe feasible; bisect toward 0
-        t_safe = min(1.0, (self.f_req - rf0) / max(1.0 - rf0, 1e-15) + 1e-12)
-        out = _bisect_mix(cand, self.rho, t_safe, lambda m: self.root_f(m) >= self.f_req)
-        if self.ball is Ball.NORMALIZED_PURIFIED:
-            tr = float(np.trace(out).real)
-            if tr > 0:
-                out = out / tr
-        return out
-
-
-def _bisect_mix(c: np.ndarray, anchor: np.ndarray, hi: float, feasible) -> np.ndarray:
-    """(1 - t) c + t anchor at the smallest t in [0, hi] that PROJ_BISECT_ITERS
-    halvings find feasible; the mix at hi itself must be feasible."""
-    lo = 0.0
-    for _ in range(PROJ_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if feasible((1.0 - mid) * c + mid * anchor):
-            hi = mid
+        if compress is None:
+            self.anchor, self.anchor_ok = rho, True
         else:
-            lo = mid
-    return hermitize((1.0 - hi) * c + hi * anchor)
+            self.w = dag(compress) @ self.w
+            work = hermitize(dag(compress) @ rho @ compress)
+            tr = float(np.trace(work).real)
+            self.anchor = work / tr if tr > 0 else work
+            self.anchor_ok = bool(tr > 0 and self.distance(self.anchor) <= eps)
+        self.m_anchor, self.tr_anchor = self._image(self.anchor), float(np.trace(self.anchor).real)
 
+    def _image(self, c: np.ndarray) -> np.ndarray:
+        """The affine image of a candidate whose spectrum gives its distance:
+        W^dag c W for a purified ball, embedded c minus rho for the trace ball."""
+        if self.ball is Ball.SUBNORMALIZED_TRACE:
+            return (c if self.v is None else self.v @ c @ dag(self.v)) - self.rho
+        return hermitize(dag(self.w) @ c @ self.w)
 
-def _factor(c: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(hermitize(c))
-    return u * np.sqrt(np.clip(w, 0.0, None))
+    def _rf(self, m: np.ndarray, tr) -> np.ndarray:
+        overlap = np.sqrt(qmat.spectral_clip(np.linalg.eigvalsh(m))).sum(axis=-1)
+        deficit = np.sqrt(np.clip(1.0 - tr, 0.0, None) * max(0.0, 1.0 - self.tr_rho))
+        return np.minimum(overlap + deficit, 1.0)
+
+    def _tdist(self, m: np.ndarray, tr) -> np.ndarray:
+        return 0.5 * (np.abs(np.linalg.eigvalsh(m)).sum(axis=-1) + np.abs(tr - self.tr_rho))
+
+    def _inside(self, m: np.ndarray, tr) -> np.ndarray:
+        if self.ball is Ball.SUBNORMALIZED_TRACE:
+            return self._tdist(m, tr) <= self.eps
+        return self._rf(m, tr) >= self.f_req
+
+    def root_f(self, c: np.ndarray):
+        """Generalized root fidelity with rho of a candidate, or of each
+        candidate of a stack."""
+        return self._rf(self._image(c), _trace(c))
+
+    def distance(self, c: np.ndarray):
+        if self.ball is Ball.SUBNORMALIZED_TRACE:
+            return self._tdist(self._image(c), _trace(c))
+        return np.sqrt(np.clip(1.0 - self.root_f(c) ** 2, 0.0, None))
+
+    def project(self, c: np.ndarray):
+        """Retract a stack (S, n, n); returns the retracted stack and a mask of
+        the rows that have a feasible point."""
+        c = hermitize(c)
+        tr = _trace(c)
+        zero = tr <= 0.0
+        scale = ~zero & ((self.ball is Ball.NORMALIZED_PURIFIED) | (tr > 1.0))
+        c[scale] /= tr[scale, None, None]
+        c[zero] = self.anchor
+        ok = ~zero | self.anchor_ok
+        m, tr = self._image(c), _trace(c)
+
+        if self.ball is Ball.SUBNORMALIZED_TRACE:
+            delta = self._tdist(m, tr)
+            far = np.flatnonzero(delta > self.eps)
+            if self.v is None:
+                t = 1.0 - self.eps / delta[far]
+                c[far] = hermitize(_mix(c[far], self.rho, t))
+                return c, ok
+        else:
+            rf = self._rf(m, tr)
+            far = np.flatnonzero(rf < self.f_req)
+        if not self.anchor_ok:
+            ok[far] = False
+            return c, ok
+        if far.size:
+            hi = np.ones(len(far))
+            if self.v is None:
+                # concavity of the root fidelity makes hi feasible on the way to rho
+                hi = np.minimum(1.0, (self.f_req - rf[far]) / np.maximum(1.0 - rf[far], 1e-15) + 1e-12)
+            t = _grid_search(lambda t: self._inside(_mix(m[far], self.m_anchor, t),
+                                                    _mix(tr[far], self.tr_anchor, t)), hi)
+            c[far] = hermitize(_mix(c[far], self.anchor, t))
+            if self.ball is Ball.NORMALIZED_PURIFIED:
+                c[far] /= _trace(c[far])[:, None, None]
+        return c, ok
 
 
 # ---------------------------------------------------------------------------
-# objectives
+# objectives, evaluated on a stack of candidates
 # ---------------------------------------------------------------------------
 
 class _SandwichedObjective:
@@ -160,7 +237,7 @@ class _SandwichedObjective:
         self.alpha = alpha
         self.a = mpow(sigma, (1.0 - alpha) / (2.0 * alpha))
 
-    def q(self, c: np.ndarray) -> float:
+    def q(self, c: np.ndarray) -> np.ndarray:
         return qmat.trace_power(self.a @ c @ self.a, self.alpha)
 
     def qg(self, c: np.ndarray):
@@ -175,21 +252,25 @@ class _PetzObjective:
         self.alpha = alpha
         self.b = mpow(sigma, 1.0 - alpha)
 
-    def q(self, c: np.ndarray) -> float:
-        return float(np.trace(mpow(c, self.alpha) @ self.b).real)
-
-    def qg(self, c: np.ndarray):
+    def _spectral(self, c: np.ndarray):
         w, u = np.linalg.eigh(hermitize(c))
         w = qmat.spectral_clip(w)
-        bt = u.conj().T @ self.b @ u
-        qv = float((w ** self.alpha * np.diag(bt).real).sum())
+        bt = dag(u) @ self.b @ u
+        qv = (w ** self.alpha * np.diagonal(bt, axis1=-2, axis2=-1).real).sum(axis=-1)
+        return qv, w, u, bt
+
+    def q(self, c: np.ndarray) -> np.ndarray:
+        return self._spectral(c)[0]
+
+    def qg(self, c: np.ndarray):
+        qv, w, u, bt = self._spectral(c)
         wa = w ** self.alpha
-        diff = w[:, None] - w[None, :]
+        diff = w[..., :, None] - w[..., None, :]
         close = np.abs(diff) < 1e-14
-        wm = np.clip(0.5 * (w[:, None] + w[None, :]), 1e-18, None)
+        wm = np.clip(0.5 * (w[..., :, None] + w[..., None, :]), 1e-18, None)
         phi = np.where(close, self.alpha * wm ** (self.alpha - 1.0),
-                       (wa[:, None] - wa[None, :]) / np.where(close, 1.0, diff))
-        return qv, hermitize(u @ (phi * bt) @ u.conj().T)
+                       (wa[..., :, None] - wa[..., None, :]) / np.where(close, 1.0, diff))
+        return qv, hermitize(u @ (phi * bt) @ dag(u))
 
 
 # ---------------------------------------------------------------------------
@@ -231,36 +312,6 @@ def _random_starts(rho: np.ndarray, eps: float, n: int, seed: int):
     return out
 
 
-class _SubspaceProjector:
-    """Retraction for candidates confined to supp(sigma), measured against the
-    original center. Mixing happens toward the best subspace anchor; when even
-    the anchor misses the ball no feasible point is reported."""
-
-    def __init__(self, base: _BallProjector, compress: np.ndarray):
-        self.base = base
-        self.v = compress
-        rho_work = hermitize(compress.conj().T @ base.rho @ compress)
-        tr = float(np.trace(rho_work).real)
-        self.anchor = rho_work / tr if tr > 0 else rho_work
-        self.anchor_ok = tr > 0 and self.distance(self.anchor) <= base.eps
-
-    def distance(self, c: np.ndarray) -> float:
-        return self.base.distance(self.v @ c @ self.v.conj().T)
-
-    def project(self, c: np.ndarray):
-        c = hermitize(c)
-        tr = float(np.trace(c).real)
-        if tr <= 0.0:
-            return self.anchor if self.anchor_ok else None
-        if self.base.ball is Ball.NORMALIZED_PURIFIED or tr > 1.0:
-            c = c / tr
-        if self.distance(c) <= self.base.eps:
-            return c
-        if not self.anchor_ok:
-            return None
-        return _bisect_mix(c, self.anchor, 1.0, lambda m: self.distance(m) <= self.base.eps)
-
-
 def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball: Ball,
               restarts: int, max_iters: int, grad_tol: float, seed: int,
               warm_starts=None, kind: str = "sandwiched"):
@@ -274,13 +325,15 @@ def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball
         keep = w > 1e-12 * max(w[0], qmat.KERNEL_TOL)
         if not keep.all():
             compress = u[:, keep]
-            sig = compress.conj().T @ sigma @ compress
+            sig = dag(compress) @ sigma @ compress
 
     obj = _SandwichedObjective(sig, alpha) if kind == "sandwiched" else _PetzObjective(sig, alpha)
 
-    proj = _BallProjector(rho, eps, ball)
+    proj = _BallProjector(rho, eps, ball, compress)
+    starts = list(warm_starts or [])
+    rho_work = rho
     if compress is not None:
-        rho_work = hermitize(compress.conj().T @ rho @ compress)
+        rho_work = hermitize(dag(compress) @ rho @ compress)
         if ball is not Ball.SUBNORMALIZED_TRACE:
             # Cauchy-Schwarz certificate: no subspace state can beat
             # sqrt(Tr P rho P) + deficit in root fidelity
@@ -288,35 +341,23 @@ def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball
                        + math.sqrt(max(0.0, 1.0 - proj.tr_rho)))
             if best_rf < proj.f_req - 1e-12:
                 return math.inf, None
-        sub = _SubspaceProjector(proj, compress)
-        project = sub.project
-        distance = sub.distance
-    else:
-        rho_work = rho
-        project = proj.project
-        distance = proj.distance
-
-    starts = list(warm_starts or [])
-    if compress is not None:
-        starts = [hermitize(compress.conj().T @ s @ compress) for s in starts]
+        starts = [hermitize(dag(compress) @ s @ compress) for s in starts]
     starts += _structured_starts(rho_work, sig, eps, ball)
     starts += _random_starts(rho_work, eps, restarts, seed)
 
+    c0, ok = proj.project(np.array(starts, dtype=complex))
+    idx = np.flatnonzero(ok & (proj.distance(c0) <= eps + BALL_SLACK))
+    q, c = _descend(obj, c0[idx], proj.project, max_iters, grad_tol)
+    inside = proj.distance(c) <= eps + BALL_SLACK
     # the first start reaching the strict minimum wins
     best_q, best_c = math.inf, None
-    for s0 in starts:
-        c0 = project(s0)
-        if c0 is None or distance(c0) > eps + BALL_SLACK:
-            continue
-        q, c = _descend(obj, c0, project, max_iters, grad_tol)
-        if distance(c) > eps + BALL_SLACK:
-            continue
-        if q < best_q:
-            best_q, best_c = q, c
+    for i in range(len(idx)):
+        if inside[i] and q[i] < best_q:
+            best_q, best_c = float(q[i]), c[i]
     if best_c is None:
         return math.inf if alpha > 1.0 else -math.inf, None
     if compress is not None:
-        best_c = compress @ best_c @ compress.conj().T
+        best_c = compress @ best_c @ dag(compress)
     if best_q <= 0.0:
         value = math.inf if alpha < 1.0 else -math.inf
     else:
@@ -324,49 +365,70 @@ def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball
     return value, hermitize(best_c)
 
 
-def _descend(obj, c0, project, max_iters, grad_tol):
-    """Backtracking gradient descent on the factor L of c = L L^dag, each trial
-    retracted by project (which may return None for no feasible point);
-    returns the best (Q, c) seen."""
-    c = c0
-    q, g = obj.qg(c)
-    best_q, best_c = q, c
-    ell = _factor(c)
-    step = 0.1
-    stall = 0
+def _descend(obj, c0: np.ndarray, project, max_iters: int, grad_tol: float):
+    """Backtracking gradient descent on factors L of c = L L^dag, for every
+    row of the stack c0 at once.
+
+    Each row keeps its own step, stall count and up to 10 backtracking
+    trials, retracted by project (which masks rows with no feasible point),
+    and stops on its own. Returns the best Q and c each row saw.
+    """
+    c = c0.copy()
+    n = len(c)
+    q = np.full(n, np.inf)
+    g = np.empty_like(c)
+    ell = np.empty_like(c)
+    best_q, best_c = np.full(n, np.inf), c.copy()
+    step = np.full(n, 0.1)
+    stall = np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+
+    def refresh(rows):
+        q[rows], g[rows] = obj.qg(c[rows])
+        w, u = np.linalg.eigh(hermitize(c[rows]))
+        ell[rows] = u * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+        better = rows[q[rows] < best_q[rows]]
+        best_q[better], best_c[better] = q[better], c[better]
+
+    if n:
+        refresh(np.arange(n))
     for _ in range(max_iters):
-        gl = g @ ell
-        gn = float(np.linalg.norm(gl))
-        if gn < grad_tol:
+        idx = np.flatnonzero(live)
+        gl = g[idx] @ ell[idx]
+        gn = np.linalg.norm(gl, axis=(1, 2))
+        keep = gn >= grad_tol
+        live[idx[~keep]] = False
+        idx, direction = idx[keep], gl[keep] / gn[keep, None, None]
+        if not idx.size:
             break
-        direction = gl / gn
-        accepted = False
-        q_new, cand = q, c
+        trying = np.ones(len(idx), dtype=bool)
+        accepted = np.zeros(len(idx), dtype=bool)
+        cand, q_new = c[idx], q[idx]
         for _ in range(10):
-            ln = ell - step * direction
-            cand = project(ln @ ln.conj().T)
-            if cand is not None:
-                q_new = obj.q(cand)
-                if q_new < q - 1e-16:
-                    accepted = True
-                    break
-            step *= 0.5
-            if step < 1e-14:
+            j = np.flatnonzero(trying)
+            if not j.size:
                 break
-        if not accepted:
+            rows = idx[j]
+            ln = ell[rows] - step[rows, None, None] * direction[j]
+            pc, ok = project(ln @ dag(ln))
+            qt = np.full(len(j), np.inf)
+            if ok.any():
+                qt[ok] = obj.q(pc[ok])
+            good = ok & (qt < q[rows] - 1e-16)
+            cand[j[good]], q_new[j[good]] = pc[good], qt[good]
+            accepted[j[good]] = True
+            step[rows[~good]] *= 0.5
+            trying[j] = ~good & (step[rows] >= 1e-14)
+        live[idx[~accepted]] = False
+        rows, q_old = idx[accepted], q[idx[accepted]]
+        if not rows.size:
             break
-        if q - q_new < 1e-15 * max(abs(q), 1.0):
-            stall += 1
-        else:
-            stall = 0
-        c = cand
-        q, g = obj.qg(c)
-        ell = _factor(c)
-        step = min(step * 1.4, 1.0)
-        if q < best_q:
-            best_q, best_c = q, c
-        if stall > 40:
-            break
+        small = q_old - q_new[accepted] < 1e-15 * np.maximum(np.abs(q_old), 1.0)
+        stall[rows] = np.where(small, stall[rows] + 1, 0)
+        c[rows] = cand[accepted]
+        refresh(rows)
+        step[rows] = np.minimum(step[rows] * 1.4, 1.0)
+        live[rows[stall[rows] > 40]] = False
     return best_q, best_c
 
 
@@ -474,7 +536,7 @@ def _petz_recovery(rho: np.ndarray, channel, e_rho: np.ndarray, tau: np.ndarray)
         if tr > 1.0:
             out = out / tr
         return out
-    except Exception:
+    except (np.linalg.LinAlgError, ResmonoError):
         return None
 
 

@@ -79,6 +79,22 @@ def test_trace_power_grad_matches_central_difference(alpha):
     assert abs(fd - alpha * float(np.trace(grad @ h).real)) <= 1e-7
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_trace_power_on_a_stack_matches_each_matrix(alpha):
+    # spectra of very different scale: the noise threshold is taken per matrix
+    m, _, _, _ = _rank_deficient()
+    stack = np.array([m, 1e-9 * m, qmat.random_state(4, 4, seed=3).data])
+    vals = qmat.trace_power(stack, alpha)
+    gvals, grads = qmat.trace_power_grad(stack, alpha)
+    for i, mi in enumerate(stack):
+        val, grad = qmat.trace_power_grad(mi, alpha)
+        assert vals[i] == qmat.trace_power(mi, alpha)
+        assert gvals[i] == val
+        assert np.max(np.abs(grads[i] - grad)) <= 1e-12 * np.max(np.abs(grad))
+    assert np.array_equal(qmat.spectral_clip(np.array([[1.0, 1e-15], [1e-9, 1e-24]])),
+                          [[1.0, 0.0], [1e-9, 0.0]])
+
+
 def test_fidelity_normalized_self():
     rho = qmat.random_state(3, 3, seed=0).data
     assert abs(qmat.fidelity(rho, rho) - 1.0) <= 1e-12

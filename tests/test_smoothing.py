@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resmono import divergences as dv
 from resmono import monotones as mn
@@ -67,19 +69,130 @@ def test_appendix_b_optimizer_is_scaled_pure_state():
     assert np.max(np.abs(opt - target)) <= 1e-6
 
 
+def _assert_optimizer_in_ball(rho, sig, eps, ball):
+    sv = sm.smoothed_sandwiched(rho, sig, small_spec(eps, 0.6, ball=ball))
+    assert sv.optimizer is not None
+    tr = float(np.trace(sv.optimizer).real)
+    assert tr <= 1.0 + 1e-10
+    if ball is sm.Ball.SUBNORMALIZED_TRACE:
+        assert qmat.gen_trace_distance(sv.optimizer, rho) <= eps + 1e-8
+    else:
+        assert qmat.purified_distance(sv.optimizer, rho) <= eps + 1e-8
+    if ball is sm.Ball.NORMALIZED_PURIFIED:
+        assert abs(tr - 1.0) <= 1e-10
+
+
 def test_ball_membership_and_trace():
     rho = qmat.random_state(3, 2, seed=5).data
     sig = qmat.random_state(3, 3, seed=6).data
     for ball in sm.Ball:
-        sv = sm.smoothed_sandwiched(rho, sig, small_spec(0.15, 0.6, ball=ball))
-        tr = float(np.trace(sv.optimizer).real)
-        assert tr <= 1.0 + 1e-10
-        if ball is sm.Ball.SUBNORMALIZED_TRACE:
-            assert qmat.gen_trace_distance(sv.optimizer, rho) <= 0.15 + 1e-8
+        _assert_optimizer_in_ball(rho, sig, 0.15, ball)
+
+
+@pytest.mark.parametrize("ball", list(sm.Ball), ids=lambda b: b.value)
+@pytest.mark.parametrize("eps", [0.02, 0.05])
+@pytest.mark.parametrize("rho_seed", [5, 7])
+def test_ball_membership_rank_one_center(rho_seed, eps, ball):
+    # on the kernel of a pure center the root fidelity is all rounding noise;
+    # distances are measured by the independent SVD route of qmat
+    rho = qmat.random_state(3, 1, seed=rho_seed).data
+    sig = qmat.random_state(3, 3, seed=6).data
+    _assert_optimizer_in_ball(rho, sig, eps, ball)
+
+
+def _random_psd(d, rank, seed, trace):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return trace * m / np.trace(m).real
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_root_fidelity_kernel_matches_qmat(d):
+    for rank in range(1, d + 1):
+        rho = _random_psd(d, rank, 100 * d + rank, 1.0 if rank % 2 else 0.9)
+        proj = sm._BallProjector(rho, 0.1, sm.Ball.SUBNORMALIZED_PURIFIED)
+        cands = np.array([_random_psd(d, k, 1000 * d + 10 * rank + k, 0.7 + 0.05 * k)
+                          for k in range(1, d + 1)] + [rho])
+        stacked = proj.root_f(cands)
+        for c, rf in zip(cands, stacked):
+            expected = qmat.root_fidelity(c, rho)
+            assert abs(rf - expected) <= 1e-12
+            assert abs(proj.root_f(c) - expected) <= 1e-12
+
+
+def _bisection(inside, hi):
+    """The twelve-halving search the grid search replaces, kept as its reference."""
+    lo = 0.0
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            hi = mid
         else:
-            assert qmat.purified_distance(sv.optimizer, rho) <= 0.15 + 1e-8
-        if ball is sm.Ball.NORMALIZED_PURIFIED:
-            assert abs(tr - 1.0) <= 1e-10
+            lo = mid
+    return hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(hi=st.floats(1e-6, 1.0), frac=st.floats(0.0, 1.0))
+def test_grid_search_matches_bisection(hi, frac):
+    tau = frac * hi
+    his = np.array([hi, 0.7 * hi, 0.3 * hi])
+    got = sm._grid_search(lambda t: t >= tau, his)
+    # at a threshold within rounding of a grid point the two searches may
+    # round that point to opposite sides of it
+    clear = [np.min(np.abs(h * np.arange(4097) / 4096 - tau)) > 1e-14 * h for h in his]
+    assume(clear[0])
+    for h, g, c in zip(his, got, clear):
+        if c:
+            assert abs(g - _bisection(lambda t: t >= tau, h)) <= 1e-15 * h
+
+
+class _CountingObjective:
+    def __init__(self, obj):
+        self.obj, self.sizes = obj, []
+
+    def q(self, c):
+        return self.obj.q(c)
+
+    def qg(self, c):
+        self.sizes.append(len(c))
+        return self.obj.qg(c)
+
+
+@pytest.mark.parametrize("objective", [sm._SandwichedObjective, sm._PetzObjective])
+def test_lockstep_descent_matches_each_start_alone(objective):
+    rho = qmat.random_state(3, 2, seed=0).data
+    sig = qmat.random_state(3, 3, seed=50).data
+    proj = sm._BallProjector(rho, 0.3, sm.Ball.SUBNORMALIZED_PURIFIED)
+    starts = np.array(sm._structured_starts(rho, sig, 0.3, proj.ball)
+                      + sm._random_starts(rho, 0.3, 5, seed=3))
+    c0, ok = proj.project(starts)
+    assert ok.all()
+    obj = _CountingObjective(objective(sig, 2.0))
+    q, c = sm._descend(obj, c0, proj.project, 200, 1e-9)
+    # the stack thinned out over several iterations, and some starts ran on
+    # to the iteration cap
+    assert len(set(obj.sizes)) >= 3 and obj.sizes[-1] >= 1
+    for i in range(len(c0)):
+        qi, ci = sm._descend(obj.obj, c0[i:i + 1], proj.project, 200, 1e-9)
+        assert abs(qi[0] - q[i]) <= 1e-12
+        assert np.max(np.abs(ci[0] - c[i])) <= 1e-12
+
+
+def test_petz_recovery_lifts_and_lets_faults_through():
+    rho = qmat.random_state(3, 3, seed=11).data
+    sig = qmat.random_state(3, 3, seed=12).data
+    ident = qmat.KrausChannel([np.eye(3, dtype=complex)])
+    assert sm.dp_check(rho, sig, ident, 0.75, 0.1, restarts=3, max_iters=150).lifted
+    # criterion-05 instance 4
+    rho = qmat.random_state(3, 3, seed=10_004).data
+    sig = qmat.random_state(3, 3, seed=20_004).data
+    ch = qmat.random_channel(3, 3, 2, seed=30_004)
+    assert sm.dp_check(rho, sig, ch, 0.7, 0.05, restarts=2, max_iters=120, seed=4).lifted
+    # a fault that is not numerical is raised, not read as "no pullback"
+    with pytest.raises(ValueError):
+        sm._petz_recovery(rho, ch, qmat.apply_channel(rho, ch), np.eye(2, dtype=complex))
 
 
 def test_eps_monotonicity_with_warm_starts():
