@@ -18,7 +18,7 @@ import numpy as np
 from . import divergences as dv
 from . import qmat
 from .errors import (DimensionMismatch, DimensionOverflow, InfeasibleRounding,
-                     InvalidGibbs, NotRational, SupportViolation)
+                     InputError, InvalidGibbs, NotRational, SupportViolation)
 from .qmat import ClassicalDist, DensityOperator
 
 EMBED_DIM_CAP = 10 ** 6
@@ -228,11 +228,9 @@ def build_coherence_pair(d: int, eps_param: float, mu: float) -> HardPairReport:
 
 def _qubit_d_bits(x, z, g0: float, g1: float):
     """D(rho(x,z) || diag(g0,g1)) in bits, vectorized over x, z."""
-    r = np.sqrt(np.clip(x * x + z * z, 0.0, 1.0))
-    w1 = (1.0 + r) / 2.0
-    w2 = (1.0 - r) / 2.0
-    ent = np.zeros_like(r)
-    for w in (w1, w2):
+    r = np.sqrt(np.minimum(x * x + z * z, 1.0))
+    ent = 0.0
+    for w in ((1.0 + r) / 2.0, (1.0 - r) / 2.0):
         mask = w > 0
         ent = ent - np.where(mask, w * np.log2(np.where(mask, w, 1.0)), 0.0)
     cross = (1.0 + z) / 2.0 * math.log2(g0) + (1.0 - z) / 2.0 * math.log2(g1)
@@ -246,13 +244,55 @@ def _qubit_f(x, z, g0: float, g1: float):
     return tr + 2.0 * np.sqrt(det_rho * g0 * g1)
 
 
+def _qubit_rays(thetas, cz: float):
+    """sin, cos and sphere distance r_max of the rays from (0, cz) at angles thetas.
+
+    sin and cos come from libm one angle at a time, because np.sin may differ
+    from it in the last bit; r_max solves ||(0, cz) + r u|| = 1.
+    """
+    sin = np.array([math.sin(t) for t in thetas])
+    cos = np.array([math.cos(t) for t in thetas])
+    cu = cz * cos
+    return sin, cos, -cu + np.sqrt(cu * cu + 1.0 - cz * cz)
+
+
+def _qubit_crossings(thetas, cz: float, g0: float, g1: float, d_target: float):
+    """Points (x, z) where the rays at angles thetas cross D = d_target, and F there.
+
+    One bisection over all rays at once: 80 halvings of [0, r_max], each
+    moving a ray's hi to the midpoint wherever D >= d_target. A ray whose
+    sphere endpoint reads below the level keeps hi = r_max, its endpoint.
+    """
+    sin, cos, hi = _qubit_rays(thetas, cz)
+    lo = np.zeros_like(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        hit = _qubit_d_bits(mid * sin, cz + mid * cos, g0, g1) >= d_target
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid)
+    x, z = hi * sin, cz + hi * cos
+    return x, z, _qubit_f(x, z, g0, g1)
+
+
+BAND_LABELS = np.array(["outside"] + [f"D{b}" for b in range(10)])
+
+
 def bloch_sweep(gamma, grid_n: int, d_target: float,
                 theta_points: int = 720) -> tuple[RegionGrid, HardPairReport]:
     """Classify the x-z Bloch disk by free-energy bands and extract the
     D = d_target level set with its fidelity extremes.
 
-    Level-set points are found by bisection along rays from gamma (the unique
-    interior point of every sublevel set), refined to 1e-9 in D.
+    gamma = diag(g0, g1) with g0 >= g1 sits on the z axis at (0, g0 - g1),
+    the unique interior point of every sublevel set, and D rises along every
+    ray from it. The level set is sampled at theta_points ray angles over
+    [theta0, pi], where theta0 is the ray whose sphere endpoint has
+    D = d_target (a pure state on the level set). All rays are bisected at
+    once, 80 halvings each. On [theta0, pi] every endpoint has D >= d_target,
+    so a ray whose endpoint reads a few ulps below it takes the endpoint as
+    its crossing. The largest and the smallest F are then refined by two
+    golden-section searches of 60 steps that run in lockstep, one bisection
+    of both probe rays per step, and the maximum is compared with the pure
+    endpoint at theta0.
     """
     g = np.asarray(qmat.asmat(gamma)).real
     if g.shape != (2, 2) or abs(g[0, 1]) > 1e-14 or abs(g[1, 0]) > 1e-14:
@@ -260,6 +300,16 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
     g0, g1 = float(g[0, 0]), float(g[1, 1])
     if g0 <= 0 or g1 <= 0 or abs(g0 + g1 - 1.0) > 1e-10:
         raise InvalidGibbs("gamma must be normalized with full rank")
+    if g0 < g1:
+        raise InvalidGibbs(f"gamma must put the larger weight first, got ({g0:g}, {g1:g})")
+    d_max = -math.log2(g1)
+    if not 0.0 < d_target < d_max:
+        raise InputError(f"level must lie in (0, log2(1/gamma_min)) = (0, {d_max:.6g}), "
+                         f"got {d_target:g}")
+    if grid_n < 1:
+        raise InputError(f"grid must be >= 1, got {grid_n}")
+    if theta_points < 1:
+        raise InputError(f"theta_points must be >= 1, got {theta_points}")
 
     xs = np.linspace(-1.0, 1.0, grid_n)
     zs = np.linspace(-1.0, 1.0, grid_n)
@@ -268,96 +318,56 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
     d_vals = np.where(inside, _qubit_d_bits(xg, zg, g0, g1), np.nan)
     f_vals = np.where(inside, _qubit_f(xg, zg, g0, g1), np.nan)
     bands = np.where(inside, np.minimum(np.floor(d_vals), 9), -1)
-    labels = np.array([f"D{int(b)}" if b >= 0 else "outside" for b in bands.ravel()])
     grid = RegionGrid(points=np.column_stack([xg.ravel(), zg.ravel()]),
-                      labels=labels, d_bits=d_vals.ravel(), f_value=f_vals.ravel())
+                      labels=BAND_LABELS[bands.ravel().astype(int) + 1],
+                      d_bits=d_vals.ravel(), f_value=f_vals.ravel())
 
-    cz = g0 - g1   # gamma sits on the z axis
+    cz = g0 - g1
 
-    def ray_point(theta, r):
-        return r * math.sin(theta), cz + r * math.cos(theta)
+    def crossings(thetas):
+        return _qubit_crossings(thetas, cz, g0, g1, d_target)
 
-    def r_max(theta):
-        # ||c + r u|| = 1 with c = (0, cz)
-        cu = cz * math.cos(theta)
-        return -cu + math.sqrt(cu * cu + 1.0 - cz * cz)
-
-    def crossing(theta):
-        rm = r_max(theta)
-        x1, z1 = ray_point(theta, rm)
-        if _qubit_d_bits(np.array(x1), np.array(z1), g0, g1) < d_target:
-            return None
-        lo, hi = 0.0, rm
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            xm, zm = ray_point(theta, mid)
-            if _qubit_d_bits(np.array(xm), np.array(zm), g0, g1) >= d_target:
-                hi = mid
-            else:
-                lo = mid
-        return ray_point(theta, hi)
-
-    def f_at(theta):
-        pt = crossing(theta)
-        if pt is None:
-            return None
-        return float(_qubit_f(np.array(pt[0]), np.array(pt[1]), g0, g1)), pt
-
-    # the feasible directions form [theta0, pi]; theta0 is where the ray's
-    # sphere endpoint has D = d_target exactly (a pure state on the level set)
+    # the feasible directions form [theta0, pi]: bisect on the D of the
+    # ray's sphere endpoint, which rises with the angle
     lo, hi = 0.0, math.pi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        xm, zm = ray_point(mid, r_max(mid))
-        if _qubit_d_bits(np.array(xm), np.array(zm), g0, g1) >= d_target:
+        sin, cos, rm = _qubit_rays([mid], cz)
+        if _qubit_d_bits(rm * sin, cz + rm * cos, g0, g1)[0] >= d_target:
             hi = mid
         else:
             lo = mid
     theta0 = hi
 
     thetas = np.linspace(theta0, math.pi, theta_points)
-    best_max = (-math.inf, None)
-    best_min = (math.inf, None)
-    level_set = []
-    for th in thetas:
-        res = f_at(th)
-        if res is None:
-            continue
-        fv, pt = res
-        level_set.append((float(th), float(pt[0]), float(pt[1]), fv))
-        if fv > best_max[0]:
-            best_max = (fv, (th, pt))
-        if fv < best_min[0]:
-            best_min = (fv, (th, pt))
+    xs_l, zs_l, fs_l = crossings(thetas)
+    level_set = list(zip(thetas.tolist(), xs_l.tolist(), zs_l.tolist(), fs_l.tolist()))
 
-    def refine(th_center, sign):
-        span = (math.pi - theta0) / theta_points
-        a = max(theta0, th_center - 2 * span)
-        b = min(math.pi, th_center + 2 * span)
-        golden = (math.sqrt(5.0) - 1.0) / 2.0
-        c1 = b - golden * (b - a)
-        c2 = a + golden * (b - a)
-        f1 = sign * f_at(c1)[0]
-        f2 = sign * f_at(c2)[0]
-        for _ in range(60):
-            if f1 < f2:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - golden * (b - a)
-                f1 = sign * f_at(c1)[0]
-            else:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + golden * (b - a)
-                f2 = sign * f_at(c2)[0]
-        th = 0.5 * (a + b)
-        fv, pt = f_at(th)
-        return fv, pt
-
-    f_hi, pt_hi = refine(best_max[1][0], -1.0)
-    f_lo, pt_lo = refine(best_min[1][0], +1.0)
+    # golden sections around the best samples: row 0 maximizes F, row 1 minimizes it
+    sign = np.array([-1.0, 1.0])
+    center = thetas[[np.argmax(fs_l), np.argmin(fs_l)]]
+    span = (math.pi - theta0) / theta_points
+    a = np.maximum(theta0, center - 2 * span)
+    b = np.minimum(math.pi, center + 2 * span)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c1 = b - golden * (b - a)
+    c2 = a + golden * (b - a)
+    f1 = sign * crossings(c1)[2]
+    f2 = sign * crossings(c2)[2]
+    for _ in range(60):
+        left = f1 < f2      # keep [a, c2]; otherwise keep [c1, b]
+        a = np.where(left, a, c1)
+        b = np.where(left, c2, b)
+        kept, f_kept = np.where(left, c1, c2), np.where(left, f1, f2)
+        probe = np.where(left, b - golden * (b - a), a + golden * (b - a))
+        f_probe = sign * crossings(probe)[2]
+        c1, f1 = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
+        c2, f2 = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
     # the maximum can sit exactly at the pure endpoint theta0
-    f_end, pt_end = f_at(theta0)
-    if f_end > f_hi:
-        f_hi, pt_hi = f_end, pt_end
+    x, z, f = crossings(np.append(0.5 * (a + b), theta0))
+    hi_at = 2 if f[2] > f[0] else 0
+    f_hi, pt_hi = float(f[hi_at]), (float(x[hi_at]), float(z[hi_at]))
+    f_lo, pt_lo = float(f[1]), (float(x[1]), float(z[1]))
 
     def as_state(pt):
         x, z = pt
@@ -411,43 +421,38 @@ def thermomajorizes(p, p_prime, gamma) -> tuple[bool, dict]:
     return ok, {"x": merged, "curve_p": cp, "curve_p_prime": cq}
 
 
-def _classical_d_family(pv: np.ndarray, gv: np.ndarray, pts: np.ndarray, alphas):
-    """D_alpha(point||g) and D_alpha(g||point) for all grid points, per alpha.
+def _classical_d_pair(gv: np.ndarray, pts: np.ndarray, a: float):
+    """D_a(point||g) and D_a(g||point) for all grid points at one alpha.
 
-    Returns two arrays of shape (len(alphas), n_points) with +inf where the
-    support conditions fail.
+    Returns two arrays of length n_points with +inf where the support
+    conditions fail.
     """
-    n = pts.shape[0]
-    d_pg = np.empty((len(alphas), n))
-    d_gp = np.empty((len(alphas), n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, a in enumerate(alphas):
-            if math.isinf(a):
-                ratio = np.where(pts > 0, pts / gv[None, :], 0.0)
-                d_pg[i] = np.log2(ratio.max(axis=1))
-                ratio2 = np.where(pts > 0, gv[None, :] / pts, np.inf).max(axis=1)
-                d_gp[i] = np.log2(ratio2)
-            elif abs(a - 1.0) < dv.ALPHA_ONE_WINDOW:
-                terms = np.where(pts > 0, pts * np.log2(np.where(pts > 0, pts, 1.0) / gv[None, :]), 0.0)
-                d_pg[i] = terms.sum(axis=1)
-                bad = (pts <= 0).any(axis=1)
-                vals = (gv[None, :] * np.log2(gv[None, :] / np.where(pts > 0, pts, 1.0))).sum(axis=1)
-                d_gp[i] = np.where(bad, np.inf, vals)
-            else:
-                s_pg = (pts ** a * gv[None, :] ** (1.0 - a)).sum(axis=1)
-                d_pg[i] = np.log2(s_pg) / (a - 1.0)
-                if a > 1.0:
-                    zero = (pts <= 0).any(axis=1)
-                    s_gp = np.where(zero, np.inf,
-                                    np.where(pts > 0, gv[None, :] ** a * np.where(pts > 0, pts, 1.0) ** (1.0 - a), 0.0).sum(axis=1))
-                    d_gp[i] = np.where(np.isinf(s_gp), np.inf, np.log2(s_gp) / (a - 1.0))
-                else:
-                    s_gp = np.where(pts > 0, gv[None, :] ** a * np.where(pts > 0, pts, 1.0) ** (1.0 - a), 0.0).sum(axis=1)
-                    d_gp[i] = np.log2(s_gp) / (a - 1.0)
-    return d_pg, d_gp
+        if math.isinf(a):
+            ratio = np.where(pts > 0, pts / gv[None, :], 0.0)
+            d_pg = np.log2(ratio.max(axis=1))
+            ratio2 = np.where(pts > 0, gv[None, :] / pts, np.inf).max(axis=1)
+            return d_pg, np.log2(ratio2)
+        if abs(a - 1.0) < dv.ALPHA_ONE_WINDOW:
+            terms = np.where(pts > 0, pts * np.log2(np.where(pts > 0, pts, 1.0) / gv[None, :]), 0.0)
+            bad = (pts <= 0).any(axis=1)
+            vals = (gv[None, :] * np.log2(gv[None, :] / np.where(pts > 0, pts, 1.0))).sum(axis=1)
+            return terms.sum(axis=1), np.where(bad, np.inf, vals)
+        s_pg = (pts ** a * gv[None, :] ** (1.0 - a)).sum(axis=1)
+        d_pg = np.log2(s_pg) / (a - 1.0)
+        if a > 1.0:
+            zero = (pts <= 0).any(axis=1)
+            s_gp = np.where(zero, np.inf,
+                            np.where(pts > 0, gv[None, :] ** a * np.where(pts > 0, pts, 1.0) ** (1.0 - a), 0.0).sum(axis=1))
+            return d_pg, np.where(np.isinf(s_gp), np.inf, np.log2(s_gp) / (a - 1.0))
+        s_gp = np.where(pts > 0, gv[None, :] ** a * np.where(pts > 0, pts, 1.0) ** (1.0 - a), 0.0).sum(axis=1)
+        return d_pg, np.log2(s_gp) / (a - 1.0)
 
 
 def default_alpha_grid(n: int = 64) -> np.ndarray:
+    """n orders geometrically spaced over [1/2, 40], then 1 and infinity."""
+    if n < 1:
+        raise InputError(f"alpha points must be >= 1, got {n}")
     return np.concatenate([np.geomspace(0.5, 40.0, n), [1.0, math.inf]])
 
 
@@ -460,6 +465,11 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     entropy ordering; RED marks CCO points where some alpha in [1/2, 1)
     reverses the ordering. The continuum condition is approximated by a finite
     grid: sound for rejection, grid-approximate for acceptance.
+
+    The alpha grid is walked one alpha at a time: each step computes both
+    divergence rows over all grid points and folds them into a running AND
+    for CO and a running maximum for red_margin, keeping only the relative
+    entropy row, so memory stays at a few rows of the grid.
     """
     pv = p.probs if isinstance(p, ClassicalDist) else np.asarray(p, dtype=float)
     gv = gamma.probs if isinstance(gamma, ClassicalDist) else np.asarray(gamma, dtype=float)
@@ -469,6 +479,12 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
     alpha_grid = np.asarray(alpha_grid, dtype=float)
+    kl_at = np.flatnonzero(np.abs(alpha_grid - 1.0) < 1e-9)
+    if not kl_at.size or not np.any((alpha_grid >= 0.5) & (alpha_grid < 1.0)):
+        raise InputError("alpha_grid must hold alpha = 1 and at least one alpha in [1/2, 1), "
+                         f"got {alpha_grid.size} values")
+    if grid_n < 1:
+        raise InputError(f"grid must be >= 1, got {grid_n}")
 
     ii, jj = np.meshgrid(np.arange(grid_n + 1), np.arange(grid_n + 1), indexing="ij")
     mask = ii + jj <= grid_n
@@ -486,17 +502,20 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     cp_at = np.interp(bx.ravel(), xs_p, ys_p).reshape(bx.shape)
     fo = np.all(cp_at >= by - CMP_TOL, axis=1)
 
-    d_pg_all, d_gp_all = _classical_d_family(pv, gv, pts, alpha_grid)
-    d_pg_ref = np.array([dv.classical_renyi(pv, gv, a) for a in alpha_grid])
-    d_gp_ref = np.array([dv.classical_renyi(gv, pv, a) for a in alpha_grid])
-    co = np.all((d_pg_ref[:, None] >= d_pg_all - CMP_TOL)
-                & (d_gp_ref[:, None] >= d_gp_all - CMP_TOL), axis=0)
+    # CO: both orderings hold at every alpha; RED: the largest reversal of
+    # the forward ordering over alpha in [1/2, 1)
+    co = np.ones(len(pts), dtype=bool)
+    red_margin = np.full(len(pts), -np.inf)
+    kl_idx = int(kl_at[0])
+    for i, al in enumerate(alpha_grid):
+        d_pg, d_gp = _classical_d_pair(gv, pts, al)
+        ref_pg = dv.classical_renyi(pv, gv, al)
+        co &= (ref_pg >= d_pg - CMP_TOL) & (dv.classical_renyi(gv, pv, al) >= d_gp - CMP_TOL)
+        if 0.5 <= al < 1.0:
+            red_margin = np.maximum(red_margin, d_pg - ref_pg)
+        if i == kl_idx:
+            d_bits, cco = d_pg, ref_pg >= d_pg - CMP_TOL
 
-    kl_idx = int(np.where(np.abs(alpha_grid - 1.0) < 1e-9)[0][0])
-    cco = d_pg_ref[kl_idx] >= d_pg_all[kl_idx] - CMP_TOL
-
-    sub = (alpha_grid >= 0.5) & (alpha_grid < 1.0)
-    red_margin = (d_pg_all[sub] - d_pg_ref[sub, None]).max(axis=0)
     red = cco & ~co & (red_margin > CMP_TOL)
 
     nesting = int(np.sum(fo & ~co) + np.sum(co & ~cco))
@@ -521,7 +540,7 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
               "RED": int(red.sum())}
     with np.errstate(divide="ignore", invalid="ignore"):
         f_vals = (np.sqrt(pts * gv[None, :]).sum(axis=1)) ** 2
-    return RegionGrid(points=pts, labels=labels, d_bits=d_pg_all[kl_idx],
+    return RegionGrid(points=pts, labels=labels, d_bits=d_bits,
                       f_value=f_vals, alpha_grid=alpha_grid, red_margin=red_margin,
                       nesting_violations=nesting, oracle_disagreements=oracle_dis,
                       counts=counts, fo_mask=fo, co_mask=co, cco_mask=cco)

@@ -74,5 +74,5 @@ class DimensionCap(InputError):
     pass
 
 
-class InvalidGibbs(NumericalFailure):
+class InvalidGibbs(InputError):
     """The Gibbs state is not normalized or lacks full support."""

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from resmono import cli, qmat
+from resmono import constructions as cs
+from resmono.errors import SupportViolation
 
 
 def run_cli(argv):
@@ -160,6 +162,9 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
 
 
+REGIONS_ARGV = ["regions", "--p", "2/3,1/12,3/12", "--gamma", "7/10,2/10,1/10"]
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--eps-list", "0,1e-2"],
     ["monotone", "--theory", "coherence", "--p", "0.5,0.7"],
@@ -171,9 +176,22 @@ def test_usage_error_exit_two():
     ["divergence", "--kind", "sandwiched", "--p", "0.5,0.5", "--q", "0.3,0.3,0.4"],
     CATALYST_ARGV[:-1] + ["0"],
     ["sweep", "--gamma", "1,0"],
+    ["monotone", "--theory", "athermality", "--alpha", "1", "--p", "0.5,0.5",
+     "--gamma", "1,0"],
+    ["sweep", "--gamma", "0.999,0.001", "--level", "-1"],
+    ["sweep", "--gamma", "0.999,0.001", "--level", "nan"],
+    ["sweep", "--gamma", "0.7,0.3", "--level", "3.0"],
+    ["sweep", "--gamma", "0.999,0.001", "--theta-points", "0"],
+    ["sweep", "--gamma", "0.3,0.7", "--level", "1.0"],
+    REGIONS_ARGV + ["--grid", "0"],
+    REGIONS_ARGV + ["--grid", "-3"],
+    REGIONS_ARGV + ["--alpha-points", "0"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
-        "sweep_rank_deficient_gamma"])
+        "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
+        "sweep_level_nan", "sweep_level_above_max", "sweep_theta_points_zero",
+        "sweep_gamma_ascending", "regions_grid_zero", "regions_grid_negative",
+        "regions_alpha_points_zero"])
 def test_bad_input_exit_two(argv):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -184,10 +202,34 @@ def test_bad_input_exit_two(argv):
     assert err.getvalue().count("\n") == 1
 
 
-def test_numerical_failure_exit_three():
-    code, _ = run_cli(["monotone", "--theory", "athermality", "--alpha", "1",
-                       "--p", "0.5,0.5", "--gamma", "1,0"])
+def test_numerical_failure_exit_three(monkeypatch):
+    def fail(args):
+        raise SupportViolation("the pullback leaves the support")
+
+    monkeypatch.setattr(cli, "cmd_pairs", fail)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(["pairs"])
     assert code == 3
+    assert err.getvalue() == "numerical failure: the pullback leaves the support\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gamma", "0.7,0.3", "--level", "1.7", "--grid", "20", "--theta-points", "36"],
+    ["sweep", "--gamma", "0.999,0.001", "--level", "9.9", "--grid", "20",
+     "--theta-points", "36"],
+    ["sweep", "--gamma", "0.7,0.3", "--level", "1.0", "--grid", "20", "--theta-points", "300"],
+], ids=["g07_level17", "g0999_level99", "g07_level1_300"])
+def test_sweep_extremum_at_pure_endpoint(argv):
+    code, out = run_cli(argv)
+    assert code == 0
+    g0, g1 = (float(v) for v in argv[2].split(","))
+    level = float(argv[4])
+    rows = [l.split(",") for l in out.splitlines() if l.startswith("level,")]
+    assert len(rows) == int(argv[-1])
+    for row in rows:
+        d = cs._qubit_d_bits(np.array(float(row[2])), np.array(float(row[3])), g0, g1)
+        assert abs(float(d) - level) <= 1e-9
 
 
 def test_determinism_byte_identical():

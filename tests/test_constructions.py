@@ -7,8 +7,8 @@ import pytest
 from resmono import constructions as cs
 from resmono import divergences as dv
 from resmono import monotones as mn
-from resmono.errors import (DimensionMismatch, InfeasibleRounding, InvalidGibbs,
-                            NotRational, SupportViolation)
+from resmono.errors import (DimensionMismatch, InfeasibleRounding, InputError,
+                            InvalidGibbs, NotRational, SupportViolation)
 
 FIG1_P = np.array([2 / 3, 1 / 12, 3 / 12])
 FIG1_GAMMA = np.array([0.7, 0.2, 0.1])
@@ -167,6 +167,134 @@ def test_bloch_sweep_rejects_bad_gibbs():
         cs.bloch_sweep(np.array([[0.9, 0.1], [0.1, 0.1]]), 50, 2.0)
     with pytest.raises(InvalidGibbs):
         cs.bloch_sweep(np.diag([1.0, 0.0]), 50, 2.0)
+    with pytest.raises(InvalidGibbs, match="larger weight first"):
+        cs.bloch_sweep(np.diag([0.3, 0.7]), 50, 1.0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"d_target": -1.0}, "level"),
+    ({"d_target": math.nan}, "level"),
+    ({"d_target": 0.0}, "level"),
+    ({"d_target": math.log2(1 / 0.3)}, "level"),
+    ({"d_target": 3.0}, "level"),
+    ({"grid_n": 0}, "grid"),
+    ({"theta_points": 0}, "theta_points"),
+])
+def test_bloch_sweep_rejects_bad_arguments(kwargs, match):
+    args = {"grid_n": 10, "d_target": 1.0, "theta_points": 36, **kwargs}
+    with pytest.raises(InputError, match=match):
+        cs.bloch_sweep(np.diag([0.7, 0.3]), **args)
+
+
+def _scalar_sweep_reference(g0, g1, d_target, theta_points):
+    """Level set and F extremes by one scalar 80-step bisection per ray and two
+    scalar golden-section searches, one after the other."""
+    cz = g0 - g1
+
+    def d_at(x, z):
+        x, z = np.array(x), np.array(z)
+        r = np.sqrt(np.clip(x * x + z * z, 0.0, 1.0))
+        ent = np.zeros_like(r)
+        for w in ((1.0 + r) / 2.0, (1.0 - r) / 2.0):
+            ent = ent - np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0)), 0.0)
+        return -ent - ((1.0 + z) / 2.0 * math.log2(g0) + (1.0 - z) / 2.0 * math.log2(g1))
+
+    def ray_point(theta, r):
+        return r * math.sin(theta), cz + r * math.cos(theta)
+
+    def r_max(theta):
+        cu = cz * math.cos(theta)
+        return -cu + math.sqrt(cu * cu + 1.0 - cz * cz)
+
+    def f_at(theta):
+        rm = r_max(theta)
+        if d_at(*ray_point(theta, rm)) < d_target:
+            return None
+        lo, hi = 0.0, rm
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if d_at(*ray_point(theta, mid)) >= d_target:
+                hi = mid
+            else:
+                lo = mid
+        pt = ray_point(theta, hi)
+        return float(cs._qubit_f(np.array(pt[0]), np.array(pt[1]), g0, g1)), pt
+
+    lo, hi = 0.0, math.pi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if d_at(*ray_point(mid, r_max(mid))) >= d_target:
+            hi = mid
+        else:
+            lo = mid
+    theta0 = hi
+
+    best_max, best_min, level_set = (-math.inf, None), (math.inf, None), []
+    for th in np.linspace(theta0, math.pi, theta_points):
+        fv, pt = f_at(th)
+        level_set.append((float(th), float(pt[0]), float(pt[1]), fv))
+        if fv > best_max[0]:
+            best_max = (fv, th)
+        if fv < best_min[0]:
+            best_min = (fv, th)
+
+    def refine(th_center, sign):
+        span = (math.pi - theta0) / theta_points
+        a = max(theta0, th_center - 2 * span)
+        b = min(math.pi, th_center + 2 * span)
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        c1 = b - golden * (b - a)
+        c2 = a + golden * (b - a)
+        f1 = sign * f_at(c1)[0]
+        f2 = sign * f_at(c2)[0]
+        for _ in range(60):
+            if f1 < f2:
+                b, c2, f2 = c2, c1, f1
+                c1 = b - golden * (b - a)
+                f1 = sign * f_at(c1)[0]
+            else:
+                a, c1, f1 = c1, c2, f2
+                c2 = a + golden * (b - a)
+                f2 = sign * f_at(c2)[0]
+        return f_at(0.5 * (a + b))
+
+    f_hi, pt_hi = refine(best_max[1], -1.0)
+    f_lo, pt_lo = refine(best_min[1], +1.0)
+    f_end, pt_end = f_at(theta0)
+    if f_end > f_hi:
+        f_hi, pt_hi = f_end, pt_end
+    return level_set, (f_hi, pt_hi), (f_lo, pt_lo), math.atan2(abs(pt_hi[0]), pt_hi[1])
+
+
+@pytest.mark.parametrize("g0, level, theta_points", [
+    (0.999, 2.0, 720),      # the README sweep
+    (0.9, 1.5, 200),
+    (0.8, 0.5, 97),
+])
+def test_bloch_sweep_matches_scalar_reference(g0, level, theta_points):
+    g1 = 1.0 - g0
+    _, rep = cs.bloch_sweep(np.diag([g0, g1]), grid_n=4, d_target=level,
+                            theta_points=theta_points)
+    level_set, (f_hi, pt_hi), (f_lo, pt_lo), theta_bloch = _scalar_sweep_reference(
+        g0, g1, level, theta_points)
+    d = rep.diagnostics
+    assert d["level_set"] == level_set
+    assert d["F_rho"] == f_hi and d["F_rho_prime"] == f_lo
+    assert d["theta_bloch"] == theta_bloch
+    assert np.array_equal(rep.rho.data, 0.5 * np.array(
+        [[1.0 + pt_hi[1], pt_hi[0]], [pt_hi[0], 1.0 - pt_hi[1]]], dtype=complex))
+    assert np.array_equal(rep.rho_prime.data, 0.5 * np.array(
+        [[1.0 + pt_lo[1], pt_lo[0]], [pt_lo[0], 1.0 - pt_lo[1]]], dtype=complex))
+
+
+def test_bloch_sweep_grid_labels_match_band_strings():
+    grid, _ = cs.bloch_sweep(np.diag([0.999, 0.001]), grid_n=60, d_target=2.0,
+                             theta_points=8)
+    bands = np.where(np.isnan(grid.d_bits), -1, np.minimum(np.floor(grid.d_bits), 9))
+    expected = np.array([f"D{int(b)}" if b >= 0 else "outside" for b in bands])
+    assert grid.labels.dtype == expected.dtype == np.dtype("<U7")
+    assert np.array_equal(grid.labels, expected)
+    assert {"outside", "D0", "D9"} <= set(expected.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +358,75 @@ def test_classify_regions_exact_gridpoints_fo():
 def test_classify_regions_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatch, match=r"\(2,\).*\(3,\)"):
         cs.classify_simplex_regions(np.array([0.5, 0.5]), FIG1_GAMMA, 10)
+
+
+def test_classify_regions_rejects_bad_arguments():
+    with pytest.raises(InputError, match="grid"):
+        cs.classify_simplex_regions(FIG1_P, FIG1_GAMMA, 0)
+    with pytest.raises(InputError, match="grid"):
+        cs.classify_simplex_regions(FIG1_P, FIG1_GAMMA, -3)
+    with pytest.raises(InputError, match="alpha points"):
+        cs.default_alpha_grid(0)
+    for alphas in ([1.0, math.inf], [0.5, 2.0], []):
+        with pytest.raises(InputError, match="alpha_grid"):
+            cs.classify_simplex_regions(FIG1_P, FIG1_GAMMA, 10, alpha_grid=alphas)
+
+
+def _full_matrix_regions(pv, gv, pts, alphas):
+    """CO, CCO, red_margin and D_bits from both divergence families held as
+    (len(alphas), n_points) matrices, reduced over the alpha axis at once."""
+    n = pts.shape[0]
+    d_pg = np.empty((len(alphas), n))
+    d_gp = np.empty((len(alphas), n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, a in enumerate(alphas):
+            if math.isinf(a):
+                d_pg[i] = np.log2(np.where(pts > 0, pts / gv[None, :], 0.0).max(axis=1))
+                d_gp[i] = np.log2(np.where(pts > 0, gv[None, :] / pts, np.inf).max(axis=1))
+            elif abs(a - 1.0) < dv.ALPHA_ONE_WINDOW:
+                safe = np.where(pts > 0, pts, 1.0)
+                d_pg[i] = np.where(pts > 0, pts * np.log2(safe / gv[None, :]), 0.0).sum(axis=1)
+                vals = (gv[None, :] * np.log2(gv[None, :] / safe)).sum(axis=1)
+                d_gp[i] = np.where((pts <= 0).any(axis=1), np.inf, vals)
+            else:
+                safe = np.where(pts > 0, pts, 1.0)
+                d_pg[i] = np.log2((pts ** a * gv[None, :] ** (1.0 - a)).sum(axis=1)) / (a - 1.0)
+                s_gp = np.where(pts > 0, gv[None, :] ** a * safe ** (1.0 - a), 0.0).sum(axis=1)
+                if a > 1.0:
+                    s_gp = np.where((pts <= 0).any(axis=1), np.inf, s_gp)
+                    d_gp[i] = np.where(np.isinf(s_gp), np.inf, np.log2(s_gp) / (a - 1.0))
+                else:
+                    d_gp[i] = np.log2(s_gp) / (a - 1.0)
+    ref_pg = np.array([dv.classical_renyi(pv, gv, a) for a in alphas])
+    ref_gp = np.array([dv.classical_renyi(gv, pv, a) for a in alphas])
+    co = np.all((ref_pg[:, None] >= d_pg - cs.CMP_TOL)
+                & (ref_gp[:, None] >= d_gp - cs.CMP_TOL), axis=0)
+    kl = int(np.where(np.abs(alphas - 1.0) < 1e-9)[0][0])
+    cco = ref_pg[kl] >= d_pg[kl] - cs.CMP_TOL
+    sub = (alphas >= 0.5) & (alphas < 1.0)
+    red_margin = (d_pg[sub] - ref_pg[sub, None]).max(axis=0)
+    return co, cco, red_margin, d_pg[kl]
+
+
+@pytest.mark.parametrize("grid_n, alpha_points, rational", [
+    (40, 64, True), (40, 64, False), (60, 64, True), (60, 64, False),
+    (40, 1, True), (60, 1, False),
+])
+def test_classify_regions_matches_full_matrix_reference(grid_n, alpha_points, rational):
+    alphas = cs.default_alpha_grid(alpha_points)
+    grid = cs.classify_simplex_regions(FIG1_P, FIG1_GAMMA, grid_n, alpha_grid=alphas,
+                                       gamma_rational=FIG1_GAMMA_FRAC if rational else None)
+    co, cco, red_margin, d_bits = _full_matrix_regions(FIG1_P, FIG1_GAMMA, grid.points, alphas)
+    fo = grid.fo_mask
+    red = cco & ~co & (red_margin > cs.CMP_TOL)
+    labels = np.where(fo, "FO", np.where(co, "CO_only", np.where(
+        red, "RED", np.where(cco, "CCO_only", "OUTSIDE"))))
+    assert np.array_equal(grid.co_mask, co)
+    assert np.array_equal(grid.cco_mask, cco)
+    assert np.array_equal(grid.red_margin, red_margin)
+    assert np.array_equal(grid.d_bits, d_bits)
+    assert np.array_equal(grid.labels, labels)
+    assert grid.counts == {"FO": int(fo.sum()), "CO": int(co.sum()), "CCO": int(cco.sum()),
+                           "RED": int(red.sum())}
+    assert grid.nesting_violations == int(np.sum(fo & ~co) + np.sum(co & ~cco))
+    assert (grid.oracle_disagreements == 0) if rational else grid.oracle_disagreements is None
