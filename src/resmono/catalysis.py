@@ -30,6 +30,7 @@ from .qmat import ClassicalDist
 
 DUAN_SIZE_CAP = 10 ** 4
 LOG2E = float(np.log2(np.e))
+EXPONENT_GRID = 200       # log-spaced deltas per axis; Nelder-Mead refines the best cell
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +101,20 @@ def catalyst_fidelity_bound_tight(rho, rho_prime, theory, eps: float) -> TightBo
 # error exponents
 # ---------------------------------------------------------------------------
 
-def _is_classical(x) -> bool:
-    return isinstance(x, ClassicalDist) or (not isinstance(x, qmat.DensityOperator)
-                                            and np.asarray(x).ndim == 1)
-
-
 def _pair_d(rho, sigma) -> float:
-    if _is_classical(rho) and _is_classical(sigma):
+    if qmat.is_classical(rho) and qmat.is_classical(sigma):
         return dv.classical_kl(rho, sigma)
     return dv.umegaki(qmat.asmat(rho), qmat.asmat(sigma))
 
 
 def _pair_v(rho, sigma) -> float:
-    if _is_classical(rho) and _is_classical(sigma):
+    if qmat.is_classical(rho) and qmat.is_classical(sigma):
         return dv.classical_rel_entropy_variance(rho, sigma)
     return dv.rel_entropy_variance(qmat.asmat(rho), qmat.asmat(sigma))
 
 
 def _pair_renyi(rho, sigma, alpha: float) -> float:
-    if _is_classical(rho) and _is_classical(sigma):
+    if qmat.is_classical(rho) and qmat.is_classical(sigma):
         return dv.classical_renyi(rho, sigma, alpha)
     return dv.sandwiched(qmat.asmat(rho), qmat.asmat(sigma), alpha)
 
@@ -147,15 +143,14 @@ class OptimizedExponent:
     kappa: float
 
 
-def error_exponent_optimized(rho1, sigma1, rho2, sigma2,
-                             grid: int = 200) -> OptimizedExponent:
+def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
     """Maximize kappa(d1, d2) / (1/d1 + 2/d2) over the admissible deltas.
 
     kappa = D_(1-d1)(rho1||sigma1) - D_(1+d2)(rho2||sigma2); log-spaced grid
     followed by Nelder-Mead refinement in log-delta coordinates.
     """
-    deltas1 = np.geomspace(1e-6, 0.5, grid)
-    deltas2 = np.geomspace(1e-6, 5.0, grid)
+    deltas1 = np.geomspace(1e-6, 0.5, EXPONENT_GRID)
+    deltas2 = np.geomspace(1e-6, 5.0, EXPONENT_GRID)
     d1_vals = np.array([_pair_renyi(rho1, sigma1, 1.0 - d) for d in deltas1])
     d2_vals = np.array([_pair_renyi(rho2, sigma2, 1.0 + d) for d in deltas2])
     kappa = d1_vals[:, None] - d2_vals[None, :]
@@ -224,10 +219,6 @@ def _kron_power(v: np.ndarray, k: int) -> np.ndarray:
     return reduce(np.kron, [v] * k)
 
 
-def _probs(x) -> np.ndarray:
-    return x.probs if isinstance(x, ClassicalDist) else np.asarray(x, dtype=float)
-
-
 def _block_sqrt_f(a_blocks, b_blocks, weights) -> float:
     return float(sum(w * np.sqrt(a * b).sum() for w, a, b in zip(weights, a_blocks, b_blocks)))
 
@@ -241,10 +232,10 @@ def duan_catalyst(rho, rho_prime, eta, eta_prime, n: int,
     [Xi_1, ..., Xi_n]. Verifies the free-energy bound D(nu||gamma_C) <=
     2n D(rho||eta) and the output error chain P(tau, rho' (x) nu) <= 2 eps0.
     """
-    p = _probs(rho)
-    pp = _probs(rho_prime)
-    e = _probs(eta)
-    ep = _probs(eta_prime)
+    p = qmat.probs(rho)
+    pp = qmat.probs(rho_prime)
+    e = qmat.probs(eta)
+    ep = qmat.probs(eta_prime)
     d, dp_ = p.shape[0], pp.shape[0]
     if n < 1:
         raise DimensionOverflow("need n >= 1")

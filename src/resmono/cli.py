@@ -218,8 +218,8 @@ def cmd_sweep(args):
     rows = [
         ("max_F", d["theta_bloch"], float(rep.rho.data[0, 1].real * 2.0),
          float(rep.rho.data[0, 0].real * 2.0 - 1.0), args.level, math.sqrt(d["F_rho"])),
-        ("min_F", math.pi, 0.0, d["rho_prime_diag"][0] * 2.0 - 1.0, args.level,
-         math.sqrt(d["F_rho_prime"])),
+        ("min_F", d["theta_rho_prime"], float(rep.rho_prime.data[0, 1].real * 2.0),
+         d["rho_prime_diag"][0] * 2.0 - 1.0, args.level, math.sqrt(d["F_rho_prime"])),
     ]
     rows += [("level", th, x, z, args.level, math.sqrt(fv))
              for th, x, z, fv in d["level_set"]]

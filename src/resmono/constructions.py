@@ -86,7 +86,7 @@ def embedding_channel(p, gamma) -> ClassicalDist:
     uniform distribution, and all classical Renyi divergences to the reference
     are preserved.
     """
-    pv = p.probs if isinstance(p, ClassicalDist) else np.asarray(p, dtype=float)
+    pv = qmat.probs(p)
     den, blocks = embedding_blocks(gamma)
     if len(blocks) != pv.shape[0]:
         raise DimensionOverflow("state and Gibbs vector dimensions differ")
@@ -292,13 +292,14 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
     its crossing. The largest and the smallest F are then refined by two
     golden-section searches of 60 steps that run in lockstep, one bisection
     of both probe rays per step, and the maximum is compared with the pure
-    endpoint at theta0.
+    endpoint at theta0. The minimizer's ray angle is its diagnostic
+    theta_rho_prime.
     """
     g = np.asarray(qmat.asmat(gamma)).real
     if g.shape != (2, 2) or abs(g[0, 1]) > 1e-14 or abs(g[1, 0]) > 1e-14:
         raise InvalidGibbs("gamma must be a diagonal qubit state")
     g0, g1 = float(g[0, 0]), float(g[1, 1])
-    if g0 <= 0 or g1 <= 0 or abs(g0 + g1 - 1.0) > 1e-10:
+    if g0 <= 0 or g1 <= 0 or abs(g0 + g1 - 1.0) > qmat.TRACE_TOL:
         raise InvalidGibbs("gamma must be normalized with full rank")
     if g0 < g1:
         raise InvalidGibbs(f"gamma must put the larger weight first, got ({g0:g}, {g1:g})")
@@ -364,7 +365,8 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
         c1, f1 = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
         c2, f2 = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
     # the maximum can sit exactly at the pure endpoint theta0
-    x, z, f = crossings(np.append(0.5 * (a + b), theta0))
+    mid = 0.5 * (a + b)
+    x, z, f = crossings(np.append(mid, theta0))
     hi_at = 2 if f[2] > f[0] else 0
     f_hi, pt_hi = float(f[hi_at]), (float(x[hi_at]), float(z[hi_at]))
     f_lo, pt_lo = float(f[1]), (float(x[1]), float(z[1]))
@@ -385,6 +387,7 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
             "theta_bloch": theta_bloch, "F_rho": f_hi, "F_rho_prime": f_lo,
             "F_gap": f_hi - f_lo, "rho_prime_diag": (float(rho_lo.data[0, 0].real),
                                                      float(rho_lo.data[1, 1].real)),
+            "theta_rho_prime": float(mid[1]),
             "level_bits": d_target, "level_set": level_set,
         })
     return grid, report
@@ -407,9 +410,7 @@ def thermomajorizes(p, p_prime, gamma) -> tuple[bool, dict]:
     Both curves are concave piecewise-linear, so domination at the merged
     breakpoints is equivalent to domination everywhere.
     """
-    pv = p.probs if isinstance(p, ClassicalDist) else np.asarray(p, dtype=float)
-    qv = p_prime.probs if isinstance(p_prime, ClassicalDist) else np.asarray(p_prime, dtype=float)
-    gv = gamma.probs if isinstance(gamma, ClassicalDist) else np.asarray(gamma, dtype=float)
+    pv, qv, gv = qmat.probs(p), qmat.probs(p_prime), qmat.probs(gamma)
     if np.min(gv) <= 0:
         raise SupportViolation("Gibbs vector must have full support")
     xs_p, ys_p = _lorenz_curve(pv, gv)
@@ -471,11 +472,16 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     for CO and a running maximum for red_margin, keeping only the relative
     entropy row, so memory stays at a few rows of the grid.
     """
-    pv = p.probs if isinstance(p, ClassicalDist) else np.asarray(p, dtype=float)
-    gv = gamma.probs if isinstance(gamma, ClassicalDist) else np.asarray(gamma, dtype=float)
+    pv, gv = qmat.probs(p), qmat.probs(gamma)
     if pv.shape != (3,) or gv.shape != (3,):
         raise DimensionMismatch(f"the 3-simplex needs p and gamma of 3 entries each, "
                                 f"got shapes {pv.shape} and {gv.shape}")
+    if not (np.all(pv >= 0.0) and abs(pv.sum() - 1.0) <= qmat.TRACE_TOL):
+        raise InputError(f"p must be a distribution: entries >= 0 summing to 1 "
+                         f"within {qmat.TRACE_TOL:g}, got {pv.tolist()}")
+    if not (np.all(gv > 0.0) and abs(gv.sum() - 1.0) <= qmat.TRACE_TOL):
+        raise InvalidGibbs(f"gamma must have entries > 0 summing to 1 within "
+                           f"{qmat.TRACE_TOL:g}, got {gv.tolist()}")
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
     alpha_grid = np.asarray(alpha_grid, dtype=float)

@@ -21,20 +21,14 @@ from . import qmat
 from .errors import AlphaOutOfRange, DimensionMismatch, SupportViolation
 from .qmat import asmat, eigh, hermitize, mpow, nuclear_norm, sqrtm_psd
 
-SUPPORT_RTOL = 1e-12     # eigenvalue threshold relative to the largest
 ALPHA_ONE_WINDOW = 1e-6  # |alpha - 1| below this dispatches to umegaki
 OVERLAP_TOL = 1e-12
-
-
-def _support_masks(sigma_evals: np.ndarray) -> np.ndarray:
-    top = max(float(sigma_evals[0]), qmat.KERNEL_TOL)
-    return sigma_evals > SUPPORT_RTOL * top
 
 
 def _support_leak(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Mass of rho outside supp(sigma)."""
     w, u = eigh(sigma)
-    keep = _support_masks(w)
+    keep = qmat.support_mask(w)
     if keep.all():
         return 0.0
     uk = u[:, ~keep]
@@ -44,7 +38,7 @@ def _support_leak(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _overlap(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Mass of rho inside supp(sigma); zero means orthogonal."""
     w, u = eigh(sigma)
-    keep = _support_masks(w)
+    keep = qmat.support_mask(w)
     uk = u[:, keep]
     return float(np.trace(uk.conj().T @ rho @ uk).real)
 
@@ -113,7 +107,7 @@ def umegaki(rho, sigma) -> float:
     pos = wr > qmat.KERNEL_TOL
     term1 = float((wr[pos] * np.log2(wr[pos])).sum())
     ws, us = eigh(s)
-    keep = _support_masks(ws)
+    keep = qmat.support_mask(ws)
     diag = np.einsum("ij,jk,ki->i", us.conj().T, r, us).real
     term2 = float((np.log2(ws[keep]) * diag[keep]).sum())
     return term1 - term2
@@ -156,17 +150,17 @@ def rel_entropy_variance(rho, sigma) -> float:
 # classical fast paths
 # ---------------------------------------------------------------------------
 
-def _probs(p) -> np.ndarray:
-    if isinstance(p, qmat.ClassicalDist):
-        return p.probs
-    return np.asarray(p, dtype=float)
+def _classical_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as float vectors, rejected unless both are 1-d of one length."""
+    pv, qv = qmat.probs(p), qmat.probs(q)
+    if pv.shape != qv.shape:
+        raise DimensionMismatch(f"dims {pv.shape} vs {qv.shape}")
+    return pv, qv
 
 
 def classical_renyi(p, q, alpha: float) -> float:
     """Classical Renyi divergence, matching sandwiched on diagonal embeddings."""
-    pv, qv = _probs(p), _probs(q)
-    if pv.shape != qv.shape:
-        raise DimensionMismatch(f"dims {pv.shape} vs {qv.shape}")
+    pv, qv = _classical_pair(p, q)
     if math.isinf(alpha):
         mask = pv > 0
         if np.any(mask & (qv <= 0)):
@@ -188,9 +182,7 @@ def classical_renyi(p, q, alpha: float) -> float:
 
 
 def classical_kl(p, q) -> float:
-    pv, qv = _probs(p), _probs(q)
-    if pv.shape != qv.shape:
-        raise DimensionMismatch(f"dims {pv.shape} vs {qv.shape}")
+    pv, qv = _classical_pair(p, q)
     if np.any((pv > OVERLAP_TOL) & (qv <= 0)):
         return math.inf
     mask = (pv > 0) & (qv > 0)
@@ -198,7 +190,7 @@ def classical_kl(p, q) -> float:
 
 
 def classical_rel_entropy_variance(p, q) -> float:
-    pv, qv = _probs(p), _probs(q)
+    pv, qv = _classical_pair(p, q)
     if np.any((pv > OVERLAP_TOL) & (qv <= 0)):
         raise SupportViolation("supp(p) not contained in supp(q)")
     mask = (pv > 0) & (qv > 0)
@@ -208,22 +200,6 @@ def classical_rel_entropy_variance(p, q) -> float:
 
 
 def shannon_entropy(p) -> float:
-    pv = _probs(p)
+    pv = qmat.probs(p)
     pv = pv[pv > 0]
     return float(-(pv * np.log2(pv)).sum())
-
-
-def renyi_entropy(p, alpha: float) -> float:
-    pv = _probs(p)
-    pv = pv[pv > 0]
-    if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-        return shannon_entropy(pv)
-    if math.isinf(alpha):
-        return -float(np.log2(pv.max()))
-    return float(np.log2((pv ** alpha).sum())) / (1.0 - alpha)
-
-
-def binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))

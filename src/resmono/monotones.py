@@ -22,12 +22,17 @@ from . import divergences as dv
 from . import qmat
 from .errors import (AlphaOutOfRange, DimensionCap, InvalidGibbs,
                      TheoryUnsupported)
-from .qmat import ClassicalDist, DensityOperator, asmat, hermitize
+from .qmat import ClassicalDist, asmat, hermitize
 
 SIMPLEX_TOL = 1e-10      # objective-decrement stopping tolerance
 PURITY_TOL = 1e-10
 MULT_DIM_CAP = 16
 KAPPA_CAP = 1e8           # largest condition number of a reported dual R
+MONOTONE_ITERS = 2000     # mirror steps per start: a cap behind the SIMPLEX_TOL stop
+PRIMAL_ITERS = 3000       # longer cap for the primal, which the dual is checked against
+DUAL_FLOOR = 1e-10        # least eigenvalue of the dual's R: keeps it invertible
+FEASIBLE_ITERS = 400      # subgradient steps per start; each bisection step reruns them
+ROBUSTNESS_TOL = 1e-7     # bisection width in bits, below the 1e-6 the robustness tests allow
 EPS = float(np.finfo(float).eps)
 
 
@@ -43,18 +48,17 @@ class Athermality(ResourceTheory):
     """Free set = {gibbs}; gibbs must be full rank and normalized."""
 
     def __init__(self, gibbs):
-        self.classical = isinstance(gibbs, ClassicalDist) or (
-            not isinstance(gibbs, DensityOperator) and np.asarray(gibbs).ndim == 1)
+        self.classical = qmat.is_classical(gibbs)
         if self.classical:
-            probs = gibbs.probs if isinstance(gibbs, ClassicalDist) else np.asarray(gibbs, dtype=float)
-            if abs(probs.sum() - 1.0) > 1e-10 or np.min(probs) <= 0:
+            probs = qmat.probs(gibbs)
+            if abs(probs.sum() - 1.0) > qmat.TRACE_TOL or np.min(probs) <= 0:
                 raise InvalidGibbs("Gibbs state must be normalized with full support")
             self.gibbs_probs = probs
             self.gibbs = np.diag(probs.astype(complex))
         else:
             g = asmat(gibbs)
             w = np.linalg.eigvalsh(hermitize(g))
-            if abs(float(np.trace(g).real) - 1.0) > 1e-10 or w[0] <= 0:
+            if abs(float(np.trace(g).real) - 1.0) > qmat.TRACE_TOL or w[0] <= 0:
                 raise InvalidGibbs("Gibbs state must be normalized with full support")
             self.gibbs_probs = None
             self.gibbs = g
@@ -76,7 +80,7 @@ class PureBipartiteEntanglement(ResourceTheory):
 # simplex optimizers (entropic mirror descent keeps iterates interior)
 # ---------------------------------------------------------------------------
 
-def _mirror_opt(obj, grad, maximize, starts, iters=2000, tol=SIMPLEX_TOL):
+def _mirror_opt(obj, grad, maximize, starts, iters):
     sign = 1.0 if maximize else -1.0
     best_val, best_q = -math.inf, None
     for q0 in starts:
@@ -106,7 +110,7 @@ def _mirror_opt(obj, grad, maximize, starts, iters=2000, tol=SIMPLEX_TOL):
             improved = vn - val
             q, val = qn, vn
             step = min(step * 1.5, 50.0)
-            if improved < tol:
+            if improved < SIMPLEX_TOL:
                 break
         if val > best_val:
             best_val, best_q = val, q
@@ -143,7 +147,7 @@ def _simplex_starts(rho: np.ndarray, restarts: int, seed: int):
     return starts
 
 
-def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = 2000,
+def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = MONOTONE_ITERS,
                        seed: int = 0):
     """min over diagonal sigma of the sandwiched divergence, with its argmin.
 
@@ -166,9 +170,10 @@ def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = 2000,
     return float(np.log2(qval)) / (alpha - 1.0), qarg
 
 
-def coherence_optimal_sigma(rho, alpha: float, restarts: int = 6, iters: int = 800,
-                            seed: int = 0) -> np.ndarray:
-    return coherence_monotone(rho, alpha, restarts=restarts, iters=iters, seed=seed)[1]
+def coherence_optimal_sigma(rho, alpha: float) -> np.ndarray:
+    """The argmin q of coherence_monotone on a smaller budget (6 starts, 800
+    steps): it only steers the alternation in smoothing.smoothed_monotone."""
+    return coherence_monotone(rho, alpha, restarts=6, iters=800)[1]
 
 
 def relative_entropy_coherence(rho) -> float:
@@ -192,7 +197,7 @@ def schmidt_vector(rho, d_a: int, d_b: int) -> np.ndarray:
 
 
 def monotone_alpha(rho, theory: ResourceTheory, alpha: float,
-                   restarts: int = 10, iters: int = 2000, seed: int = 0) -> float:
+                   restarts: int = 10, seed: int = 0) -> float:
     """Resource monotone min over free sigma of the sandwiched divergence, bits."""
     if not (alpha >= 0.5 or math.isinf(alpha)):
         raise AlphaOutOfRange(f"monotone needs alpha in [1/2, inf], got {alpha}")
@@ -201,7 +206,7 @@ def monotone_alpha(rho, theory: ResourceTheory, alpha: float,
             return dv.classical_renyi(rho, theory.gibbs_probs, alpha)
         return dv.sandwiched(asmat(rho), theory.gibbs, alpha)
     if isinstance(theory, Coherence):
-        return coherence_monotone(rho, alpha, restarts=restarts, iters=iters, seed=seed)[0]
+        return coherence_monotone(rho, alpha, restarts=restarts, seed=seed)[0]
     if isinstance(theory, PureBipartiteEntanglement):
         lam = schmidt_vector(rho, theory.d_a, theory.d_b)
         if abs(alpha - 1.0) < dv.ALPHA_ONE_WINDOW:
@@ -228,23 +233,22 @@ class CoherenceDual:
     argmin_r: np.ndarray
 
 
-def fidelity_coherence_primal(rho, restarts: int = 10, iters: int = 3000,
-                              seed: int = 0) -> CoherencePrimal:
+def fidelity_coherence_primal(rho, restarts: int = 10, seed: int = 0) -> CoherencePrimal:
     """max over diagonal sigma of F(rho, sigma): concave in sigma."""
     r = asmat(rho)
     obj, grad = _coherence_q_obj(r, 0.5)   # Tr[M^1/2] = root fidelity to diag(q)
     starts = _simplex_starts(r, restarts, seed)
-    root, q = _mirror_opt(obj, grad, True, starts, iters=iters)
+    root, q = _mirror_opt(obj, grad, True, starts, PRIMAL_ITERS)
     return CoherencePrimal(value=float(root ** 2), argmax=q)
 
 
-def fidelity_coherence_dual(rho, restarts: int = 10, floor: float = 1e-10,
-                            seed: int = 0) -> CoherenceDual:
+def fidelity_coherence_dual(rho, restarts: int = 10, seed: int = 0) -> CoherenceDual:
     """Alberti-form dual: a certified upper bound on the fidelity of coherence.
 
-    R is parameterized as N N^dag + floor*I with unit-norm rows of N, which
-    pins ||Delta(R)||_inf = 1 + floor and removes the scale flat direction.
-    L-BFGS-B minimizes Tr[rho R^-1] (1 + floor) with its analytic gradient.
+    R is parameterized as N N^dag + floor*I (floor = DUAL_FLOOR) with unit-norm
+    rows of N, which pins ||Delta(R)||_inf = 1 + floor and removes the scale
+    flat direction. L-BFGS-B minimizes Tr[rho R^-1] (1 + floor) with its
+    analytic gradient.
 
     The optimizer's objective is not the reported value: near the optimum R
     is nearly singular, and a float evaluation of Tr[rho R^-1] there can fall
@@ -267,16 +271,16 @@ def fidelity_coherence_dual(rho, restarts: int = 10, floor: float = 1e-10,
     def obj_grad(x):
         n, norms = unpack(x)
         try:
-            inv = np.linalg.inv(n @ n.conj().T + floor * eye)
+            inv = np.linalg.inv(n @ n.conj().T + DUAL_FLOOR * eye)
         except np.linalg.LinAlgError:
             return 1e6, np.zeros_like(x)
-        g = -2.0 * (1.0 + floor) * (inv @ r @ inv) @ n
+        g = -2.0 * (1.0 + DUAL_FLOOR) * (inv @ r @ inv) @ n
         g = (g - np.sum(g * n.conj(), axis=1).real[:, None] * n) / norms   # through n_i = m_i/|m_i|
-        return (float(np.trace(r @ inv).real) * (1.0 + floor),
+        return (float(np.trace(r @ inv).real) * (1.0 + DUAL_FLOOR),
                 np.concatenate([g.real, g.imag]).ravel())
 
     rng = np.random.default_rng(seed)
-    inits = [np.eye(d, dtype=complex), qmat.sqrtm_psd(r + floor * eye)]
+    inits = [np.eye(d, dtype=complex), qmat.sqrtm_psd(r + DUAL_FLOOR * eye)]
     while len(inits) < restarts:
         inits.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     fits = [optimize.minimize(obj_grad, np.concatenate([m0.real, m0.imag]).ravel(), jac=True,
@@ -284,7 +288,7 @@ def fidelity_coherence_dual(rho, restarts: int = 10, floor: float = 1e-10,
                               options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
             for m0 in inits[:restarts]]
     n, _ = unpack(min(fits, key=lambda res: res.fun).x)
-    big = hermitize(n @ n.conj().T + floor * eye)
+    big = hermitize(n @ n.conj().T + DUAL_FLOOR * eye)
     # certification: cap the condition number, then one eigh evaluation
     w, u = np.linalg.eigh(big)
     lift = max(0.0, (w[-1] - KAPPA_CAP * w[0]) / (KAPPA_CAP - 1.0))
@@ -316,7 +320,7 @@ def multiplicativity_check(rho, tau, restarts: int = 10, seed: int = 0) -> Multi
 # generalized robustness
 # ---------------------------------------------------------------------------
 
-def _feasible_dmax_coherence(c: np.ndarray, iters: int = 400) -> tuple[bool, np.ndarray]:
+def _feasible_dmax_coherence(c: np.ndarray) -> tuple[bool, np.ndarray]:
     """Is there a diagonal state q with diag(q) >= c? Subgradient descent on
     min over the simplex of lambda_max(c - diag q). Returns the verdict and the
     q with the least lambda_max found, which witnesses a True verdict."""
@@ -325,7 +329,7 @@ def _feasible_dmax_coherence(c: np.ndarray, iters: int = 400) -> tuple[bool, np.
     best, best_q = math.inf, None
     for q0 in (np.full(d, 1.0 / d), diag / diag.sum()):
         q = q0.copy()
-        for t in range(iters):
+        for t in range(FEASIBLE_ITERS):
             w, u = np.linalg.eigh(hermitize(c - np.diag(q)))
             val = float(w[-1])
             if val < best:
@@ -342,7 +346,7 @@ def _feasible_dmax_coherence(c: np.ndarray, iters: int = 400) -> tuple[bool, np.
     return best <= 1e-9, best_q
 
 
-def _robustness_coherence(r: np.ndarray, tol: float = 1e-7):
+def _robustness_coherence(r: np.ndarray):
     """Bisection on log2 of the robustness; returns its certified upper end hi
     with the diagonal state q that makes 2^hi diag(q) >= rho."""
     d = r.shape[0]
@@ -352,7 +356,7 @@ def _robustness_coherence(r: np.ndarray, tol: float = 1e-7):
     lo = 0.0
     if _feasible_dmax_coherence(r)[0]:
         return 0.0, np.clip(np.diag(r).real, 0, None)
-    while hi - lo > tol:
+    while hi - lo > ROBUSTNESS_TOL:
         mid = 0.5 * (lo + hi)
         ok, q = _feasible_dmax_coherence(2.0 ** (-mid) * r)
         if ok:
@@ -367,14 +371,14 @@ def _robustness_coherence(r: np.ndarray, tol: float = 1e-7):
     return math.log2(scale), (2.0 ** hi * q_hi + short) / scale
 
 
-def generalized_robustness(rho, theory: ResourceTheory, tol: float = 1e-7) -> float:
+def generalized_robustness(rho, theory: ResourceTheory) -> float:
     """Log-robustness log2(1 + R_g) = min over free sigma of D_max(rho||sigma)."""
     if isinstance(theory, Athermality):
         if theory.classical and isinstance(rho, ClassicalDist):
             return dv.classical_renyi(rho, theory.gibbs_probs, math.inf)
         return dv.dmax(asmat(rho), theory.gibbs)
     if isinstance(theory, Coherence):
-        return _robustness_coherence(asmat(rho), tol=tol)[0]
+        return _robustness_coherence(asmat(rho))[0]
     raise TheoryUnsupported("generalized robustness supports athermality and coherence")
 
 
@@ -382,7 +386,7 @@ def generalized_robustness(rho, theory: ResourceTheory, tol: float = 1e-7) -> fl
 # free-operation samplers for property tests
 # ---------------------------------------------------------------------------
 
-def gibbs_preserving_channel(gibbs, weight: float, d: int | None = None) -> qmat.KrausChannel:
+def gibbs_preserving_channel(gibbs, weight: float) -> qmat.KrausChannel:
     """Mixture of the identity and the replace-with-gibbs map; both fix gibbs."""
     g = asmat(gibbs)
     d = g.shape[0]

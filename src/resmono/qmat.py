@@ -21,8 +21,9 @@ from .errors import DimensionMismatch, InvalidRank, NonHermitian
 
 HERM_TOL = 1e-12       # entrywise tolerance for M == M^dagger
 EVAL_NEG_TOL = 1e-10   # eigenvalues above -EVAL_NEG_TOL are clipped to 0
-TRACE_TOL = 1e-10      # slack on trace <= 1
+TRACE_TOL = 1e-10      # slack on trace <= 1, and on the unit sum of a Gibbs state or distribution
 KERNEL_TOL = 1e-14     # eigenvalues <= KERNEL_TOL are kernel for powers t <= 0
+SUPPORT_RTOL = 1e-12   # support_mask: eigenvalue threshold relative to the largest
 SUM_TOL = 1e-12        # slack on classical sums
 
 LOG2E = float(np.log2(np.e))
@@ -38,9 +39,8 @@ class DensityOperator:
 
     dim: int
     data: np.ndarray
-    trace_tol: float = TRACE_TOL
 
-    def __init__(self, data, trace_tol: float = TRACE_TOL):
+    def __init__(self, data):
         data = np.asarray(data, dtype=complex)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got {data.shape}")
@@ -50,11 +50,10 @@ class DensityOperator:
         if w[0] < -EVAL_NEG_TOL:
             raise ValueError(f"matrix not PSD: min eigenvalue {w[0]:.3e}")
         tr = float(np.trace(data).real)
-        if not 0.0 < tr <= 1.0 + trace_tol:
+        if not 0.0 < tr <= 1.0 + TRACE_TOL:
             raise ValueError(f"trace {tr} outside (0, 1]")
         self.dim = data.shape[0]
         self.data = data
-        self.trace_tol = trace_tol
 
     @property
     def trace(self) -> float:
@@ -85,14 +84,13 @@ class ClassicalDist:
 
 @dataclass
 class KrausChannel:
-    """CPTP (or flagged trace-nonincreasing) map given by Kraus operators."""
+    """CPTP map given by Kraus operators."""
 
     in_dim: int
     out_dim: int
     kraus: list
-    trace_preserving: bool = True
 
-    def __init__(self, kraus, trace_preserving: bool = True):
+    def __init__(self, kraus):
         kraus = [np.asarray(k, dtype=complex) for k in kraus]
         if not kraus:
             raise ValueError("need at least one Kraus operator")
@@ -100,17 +98,30 @@ class KrausChannel:
         if any(k.shape != (out_dim, in_dim) for k in kraus):
             raise DimensionMismatch("inconsistent Kraus shapes")
         s = sum(k.conj().T @ k for k in kraus)
-        if trace_preserving:
-            if np.max(np.abs(s - np.eye(in_dim))) > 1e-10:
-                raise ValueError("Kraus completeness sum K^dag K != 1 within 1e-10")
-        else:
-            w = np.linalg.eigvalsh(hermitize(s))
-            if w[-1] > 1.0 + 1e-10:
-                raise ValueError("trace-nonincreasing channel has sum K^dag K > 1")
+        if np.max(np.abs(s - np.eye(in_dim))) > 1e-10:
+            raise ValueError("Kraus completeness sum K^dag K != 1 within 1e-10")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.kraus = kraus
-        self.trace_preserving = trace_preserving
+
+
+def probs(x) -> np.ndarray:
+    """Coerce a ClassicalDist / 1-d array to a float vector.
+
+    Anything else is a DimensionMismatch, raised before a cast to float could
+    drop the imaginary part of a matrix.
+    """
+    if isinstance(x, ClassicalDist):
+        return x.probs
+    if np.ndim(x) != 1:
+        raise DimensionMismatch(f"expected a 1-d vector, got shape {np.shape(x)}")
+    return np.asarray(x, dtype=float)
+
+
+def is_classical(x) -> bool:
+    """A ClassicalDist, or a 1-d array that is not a DensityOperator."""
+    return isinstance(x, ClassicalDist) or (not isinstance(x, DensityOperator)
+                                            and np.asarray(x).ndim == 1)
 
 
 def asmat(x) -> np.ndarray:
@@ -212,11 +223,10 @@ def plog2m(m) -> np.ndarray:
     return (u * lw) @ u.conj().T
 
 
-def support_projector(m, rtol: float = 1e-12) -> np.ndarray:
-    w, u = eigh(m)
-    keep = w > rtol * max(w[0], KERNEL_TOL)
-    uk = u[:, keep]
-    return uk @ uk.conj().T
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """The support of a descending spectrum w: eigenvalues above
+    SUPPORT_RTOL * max(w[0], KERNEL_TOL)."""
+    return w > SUPPORT_RTOL * max(float(w[0]), KERNEL_TOL)
 
 
 def nuclear_norm(a: np.ndarray) -> float:
@@ -303,11 +313,6 @@ def dephasing_channel(d: int) -> KrausChannel:
     return KrausChannel([np.outer(eye[:, i], eye[:, i]) for i in range(d)])
 
 
-def dephase(rho) -> np.ndarray:
-    r = asmat(rho)
-    return np.diag(np.diag(r))
-
-
 def embedding_isometry_channel(d_in: int, d_out: int) -> KrausChannel:
     """Isometric embedding of C^d_in into the first d_in coordinates of C^d_out."""
     if d_out < d_in:
@@ -391,8 +396,7 @@ def matrix_from_json(s: str) -> np.ndarray:
 
 
 def dist_to_json(p) -> str:
-    probs = p.probs if isinstance(p, ClassicalDist) else np.asarray(p, dtype=float)
-    return json.dumps(probs.tolist())
+    return json.dumps(probs(p).tolist())
 
 
 def dist_from_json(s: str) -> ClassicalDist:

@@ -36,6 +36,7 @@ DIM_CAP = 16
 BALL_SLACK = 1e-8        # allowed feasibility slack on returned optimizers
 GRID_POINTS = 16         # grid points per level of the boundary search, ends included
 GRID_LEVELS = 3          # 16**3 = 2**12 cells: the resolution of twelve halvings
+GRAD_TOL = 1e-9          # a start stops once its factor gradient norm falls below this
 
 
 class Ball(enum.Enum):
@@ -45,7 +46,6 @@ class Ball(enum.Enum):
 
 
 class Certified(enum.Enum):
-    ANALYTIC_EXACT = "analytic_exact"
     HEURISTIC_LOWER_BOUND = "heuristic_lower_bound"
     HEURISTIC_UPPER_BOUND = "heuristic_upper_bound"
 
@@ -57,7 +57,6 @@ class SmoothingSpec:
     ball: Ball = Ball.SUBNORMALIZED_PURIFIED
     restarts: int = 20
     max_iters: int = 5000
-    grad_tol: float = 1e-9
     seed: int = 0
 
 
@@ -66,8 +65,6 @@ class SmoothedValue:
     value: float
     optimizer: np.ndarray
     certified: Certified
-    alpha: float = 0.0
-    epsilon: float = 0.0
 
 
 @dataclass
@@ -284,7 +281,7 @@ def _structured_starts(rho: np.ndarray, sigma: np.ndarray, eps: float, ball: Bal
     # tilts toward the kernel of sigma reach the analytic optimizers of the
     # embedding counterexamples
     w, u = qmat.eigh(sigma)
-    kernel = [u[:, i] for i in range(len(w)) if w[i] <= 1e-12 * max(w[0], qmat.KERNEL_TOL)]
+    kernel = list(u[:, ~qmat.support_mask(w)].T)
     wr, ur = qmat.eigh(rho)
     pure = wr[0] >= float(np.trace(asmat(rho)).real) - 1e-12
     for k in kernel[:2]:
@@ -312,22 +309,28 @@ def _random_starts(rho: np.ndarray, eps: float, n: int, seed: int):
     return out
 
 
-def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball: Ball,
-              restarts: int, max_iters: int, grad_tol: float, seed: int,
-              warm_starts=None, kind: str = "sandwiched"):
+def _optimize(rho, sigma, spec: SmoothingSpec, objective, warm_starts=None) -> SmoothedValue:
+    """Drive objective(sigma, alpha).q downhill over the ball of spec, from
+    the warm, structured and random starts; log2(Q) / (alpha - 1) of the best
+    feasible point, labelled as the one-sided bound it is."""
+    alpha, eps, ball = spec.alpha, spec.epsilon, spec.ball
+    if not 0.0 < eps < 1.0:
+        raise AlphaOutOfRange(f"epsilon must lie in (0,1), got {eps}")
+    rho, sigma = asmat(rho), asmat(sigma)
     if rho.shape[0] > DIM_CAP:
         raise DimensionCap(f"smoothing capped at dimension {DIM_CAP}")
+    cert = Certified.HEURISTIC_LOWER_BOUND if alpha < 1.0 else Certified.HEURISTIC_UPPER_BOUND
     compress = None
     sig = sigma
     if alpha > 1.0:
         # the divergence is +inf off supp(sigma): confine candidates to it
         w, u = qmat.eigh(sigma)
-        keep = w > 1e-12 * max(w[0], qmat.KERNEL_TOL)
+        keep = qmat.support_mask(w)
         if not keep.all():
             compress = u[:, keep]
             sig = dag(compress) @ sigma @ compress
 
-    obj = _SandwichedObjective(sig, alpha) if kind == "sandwiched" else _PetzObjective(sig, alpha)
+    obj = objective(sig, alpha)
 
     proj = _BallProjector(rho, eps, ball, compress)
     starts = list(warm_starts or [])
@@ -340,14 +343,14 @@ def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball
             best_rf = (math.sqrt(max(0.0, float(np.trace(rho_work).real)))
                        + math.sqrt(max(0.0, 1.0 - proj.tr_rho)))
             if best_rf < proj.f_req - 1e-12:
-                return math.inf, None
+                return SmoothedValue(math.inf, None, cert)
         starts = [hermitize(dag(compress) @ s @ compress) for s in starts]
     starts += _structured_starts(rho_work, sig, eps, ball)
-    starts += _random_starts(rho_work, eps, restarts, seed)
+    starts += _random_starts(rho_work, eps, spec.restarts, spec.seed)
 
     c0, ok = proj.project(np.array(starts, dtype=complex))
     idx = np.flatnonzero(ok & (proj.distance(c0) <= eps + BALL_SLACK))
-    q, c = _descend(obj, c0[idx], proj.project, max_iters, grad_tol)
+    q, c = _descend(obj, c0[idx], proj.project, spec.max_iters)
     inside = proj.distance(c) <= eps + BALL_SLACK
     # the first start reaching the strict minimum wins
     best_q, best_c = math.inf, None
@@ -355,17 +358,17 @@ def _optimize(rho: np.ndarray, sigma: np.ndarray, alpha: float, eps: float, ball
         if inside[i] and q[i] < best_q:
             best_q, best_c = float(q[i]), c[i]
     if best_c is None:
-        return math.inf if alpha > 1.0 else -math.inf, None
+        return SmoothedValue(math.inf if alpha > 1.0 else -math.inf, None, cert)
     if compress is not None:
         best_c = compress @ best_c @ dag(compress)
     if best_q <= 0.0:
         value = math.inf if alpha < 1.0 else -math.inf
     else:
         value = float(np.log2(best_q)) / (alpha - 1.0)
-    return value, hermitize(best_c)
+    return SmoothedValue(value, hermitize(best_c), cert)
 
 
-def _descend(obj, c0: np.ndarray, project, max_iters: int, grad_tol: float):
+def _descend(obj, c0: np.ndarray, project, max_iters: int):
     """Backtracking gradient descent on factors L of c = L L^dag, for every
     row of the stack c0 at once.
 
@@ -396,7 +399,7 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int, grad_tol: float):
         idx = np.flatnonzero(live)
         gl = g[idx] @ ell[idx]
         gn = np.linalg.norm(gl, axis=(1, 2))
-        keep = gn >= grad_tol
+        keep = gn >= GRAD_TOL
         live[idx[~keep]] = False
         idx, direction = idx[keep], gl[keep] / gn[keep, None, None]
         if not idx.size:
@@ -443,27 +446,16 @@ def smoothed_sandwiched(rho, sigma, spec: SmoothingSpec, warm_starts=None) -> Sm
     alpha = spec.alpha
     if not (0.5 <= alpha < 1.0 or alpha > 1.0):
         raise AlphaOutOfRange(f"smoothing needs alpha in [1/2,1) or (1,inf), got {alpha}")
-    if not 0.0 < spec.epsilon < 1.0:
-        raise AlphaOutOfRange(f"epsilon must lie in (0,1), got {spec.epsilon}")
-    r, s = asmat(rho), asmat(sigma)
-    value, opt = _optimize(r, s, alpha, spec.epsilon, spec.ball, spec.restarts,
-                           spec.max_iters, spec.grad_tol, spec.seed,
-                           warm_starts=warm_starts, kind="sandwiched")
-    cert = Certified.HEURISTIC_LOWER_BOUND if alpha < 1.0 else Certified.HEURISTIC_UPPER_BOUND
-    return SmoothedValue(value, opt, cert, alpha=alpha, epsilon=spec.epsilon)
+    return _optimize(rho, sigma, spec, _SandwichedObjective, warm_starts)
 
 
-def smoothed_petz(rho, sigma, spec: SmoothingSpec) -> SmoothedValue:
-    """Smoothed Petz divergence. Exists only for the counterexample suite; it
-    fails data-processing for alpha < 1 and is not part of the supported API."""
+def _smoothed_petz(rho, sigma, spec: SmoothingSpec) -> SmoothedValue:
+    """Smoothed Petz divergence, for the counterexample suite only: it fails
+    data-processing for alpha < 1."""
     alpha = spec.alpha
     if not (0.0 < alpha < 1.0 or 1.0 < alpha <= 2.0):
         raise AlphaOutOfRange(f"Petz smoothing needs alpha in (0,1)U(1,2], got {alpha}")
-    r, s = asmat(rho), asmat(sigma)
-    value, opt = _optimize(r, s, alpha, spec.epsilon, spec.ball, spec.restarts,
-                           spec.max_iters, spec.grad_tol, spec.seed, kind="petz")
-    cert = Certified.HEURISTIC_LOWER_BOUND if alpha < 1.0 else Certified.HEURISTIC_UPPER_BOUND
-    return SmoothedValue(value, opt, cert, alpha=alpha, epsilon=spec.epsilon)
+    return _optimize(rho, sigma, spec, _PetzObjective)
 
 
 def smoothed_monotone(rho, theory, alpha: float, epsilon: float,
@@ -574,21 +566,22 @@ def appendix_b_suite(alpha: float = 0.75, epsilon: float = 0.1,
     tgt_sand = 1.0 + (alpha / (1.0 - alpha)) * shift
     tgt_petz = 1.0 + (1.0 / (1.0 - alpha)) * shift
 
+    sand, petz = smoothed_sandwiched, _smoothed_petz
     cases = [
-        ("sandwiched_normalized_2d", "sandwiched", Ball.NORMALIZED_PURIFIED, rho2, sig2, 1.0, "eq"),
-        ("sandwiched_normalized_3d", "sandwiched", Ball.NORMALIZED_PURIFIED, rho3, sig3, tgt_sand, "eq"),
-        ("sandwiched_subnormalized_2d", "sandwiched", Ball.SUBNORMALIZED_PURIFIED, rho2, sig2, tgt_sand, "eq"),
-        ("sandwiched_subnormalized_3d", "sandwiched", Ball.SUBNORMALIZED_PURIFIED, rho3, sig3, tgt_sand, "eq"),
-        ("petz_normalized_2d", "petz", Ball.NORMALIZED_PURIFIED, rho2, sig2, 1.0, "eq"),
-        ("petz_normalized_3d", "petz", Ball.NORMALIZED_PURIFIED, rho3, sig3, tgt_petz, "ge"),
-        ("petz_subnormalized_2d", "petz", Ball.SUBNORMALIZED_PURIFIED, rho2, sig2, tgt_sand, "eq"),
+        ("sandwiched_normalized_2d", sand, Ball.NORMALIZED_PURIFIED, rho2, sig2, 1.0, "eq"),
+        ("sandwiched_normalized_3d", sand, Ball.NORMALIZED_PURIFIED, rho3, sig3, tgt_sand, "eq"),
+        ("sandwiched_subnormalized_2d", sand, Ball.SUBNORMALIZED_PURIFIED, rho2, sig2, tgt_sand, "eq"),
+        ("sandwiched_subnormalized_3d", sand, Ball.SUBNORMALIZED_PURIFIED, rho3, sig3, tgt_sand, "eq"),
+        ("petz_normalized_2d", petz, Ball.NORMALIZED_PURIFIED, rho2, sig2, 1.0, "eq"),
+        ("petz_normalized_3d", petz, Ball.NORMALIZED_PURIFIED, rho3, sig3, tgt_petz, "ge"),
+        ("petz_subnormalized_2d", petz, Ball.SUBNORMALIZED_PURIFIED, rho2, sig2, tgt_sand, "eq"),
     ]
 
     rows = []
-    for name, kind, ball, r, s, target, cmp_kind in cases:
+    for name, smoothed, ball, r, s, target, cmp_kind in cases:
         spec = SmoothingSpec(epsilon=epsilon, alpha=alpha, ball=ball,
                              restarts=restarts, max_iters=max_iters, seed=seed)
-        sv = smoothed_sandwiched(r, s, spec) if kind == "sandwiched" else smoothed_petz(r, s, spec)
+        sv = smoothed(r, s, spec)
         rows.append(SuiteRow(case=name, alpha=alpha, eps=epsilon, ball=ball,
                              value_bits=sv.value, analytic_bits=target,
                              abs_err=sv.value - target, comparison=cmp_kind,

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -186,18 +187,43 @@ REGIONS_ARGV = ["regions", "--p", "2/3,1/12,3/12", "--gamma", "7/10,2/10,1/10"]
     REGIONS_ARGV + ["--grid", "0"],
     REGIONS_ARGV + ["--grid", "-3"],
     REGIONS_ARGV + ["--alpha-points", "0"],
+    ["regions", "--p", "0.5,0.7,0.2", "--gamma", "7/10,2/10,1/10"],
+    ["regions", "--p", "2/3,1/12,3/12", "--gamma", "0.5,0.5,0.5"],
+    ["regions", "--p", "2/3,1/12,3/12", "--gamma", "1,0,0"],
+    ["smooth", "--appendix-b", "--alpha", "2.5", "--restarts", "1", "--iters", "5"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
         "sweep_level_nan", "sweep_level_above_max", "sweep_theta_points_zero",
         "sweep_gamma_ascending", "regions_grid_zero", "regions_grid_negative",
-        "regions_alpha_points_zero"])
+        "regions_alpha_points_zero", "regions_p_not_normalized",
+        "regions_gamma_not_normalized", "regions_gamma_rank_deficient",
+        "smooth_appendix_b_petz_alpha"])
 def test_bad_input_exit_two(argv):
     err = io.StringIO()
     with redirect_stderr(err):
         code, _ = run_cli(argv)
     assert code == 2
     assert "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("usage error: ")
+    assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("vector_rho", [False, True], ids=["matrix_matrix", "vector_matrix"])
+def test_classical_divergence_rejects_matrix_files(tmp_path, vector_rho):
+    ps = tmp_path / "sigma.json"
+    ps.write_text(qmat.matrix_to_json(qmat.random_state(2, 2, seed=1).data))
+    if vector_rho:
+        rho_args = ["--p", "0.5,0.5"]
+    else:
+        pr = tmp_path / "rho.json"
+        pr.write_text(qmat.matrix_to_json(qmat.random_state(2, 2, seed=0).data))
+        rho_args = ["--rho", str(pr)]
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err):
+        warnings.simplefilter("error")      # a ComplexWarning from a cast fails the test
+        code, _ = run_cli(["divergence", "--kind", "classical", *rho_args, "--sigma", str(ps)])
+    assert code == 2
     assert err.getvalue().startswith("usage error: ")
     assert err.getvalue().count("\n") == 1
 
@@ -219,7 +245,8 @@ def test_numerical_failure_exit_three(monkeypatch):
     ["sweep", "--gamma", "0.999,0.001", "--level", "9.9", "--grid", "20",
      "--theta-points", "36"],
     ["sweep", "--gamma", "0.7,0.3", "--level", "1.0", "--grid", "20", "--theta-points", "300"],
-], ids=["g07_level17", "g0999_level99", "g07_level1_300"])
+    ["sweep", "--gamma", "0.9,0.1", "--level", "1.5", "--grid", "20", "--theta-points", "200"],
+], ids=["g07_level17", "g0999_level99", "g07_level1_300", "g09_level15_min_off_axis"])
 def test_sweep_extremum_at_pure_endpoint(argv):
     code, out = run_cli(argv)
     assert code == 0
@@ -227,9 +254,15 @@ def test_sweep_extremum_at_pure_endpoint(argv):
     level = float(argv[4])
     rows = [l.split(",") for l in out.splitlines() if l.startswith("level,")]
     assert len(rows) == int(argv[-1])
-    for row in rows:
+    extremes = {l.split(",")[0]: l.split(",") for l in out.splitlines()
+                if l.startswith(("max_F,", "min_F,"))}
+    assert len(extremes) == 2
+    for row in rows + list(extremes.values()):
         d = cs._qubit_d_bits(np.array(float(row[2])), np.array(float(row[3])), g0, g1)
         assert abs(float(d) - level) <= 1e-9
+    # min_F gives its ray angle from (0, g0 - g1), the convention of the level rows
+    theta, x, z = (float(v) for v in extremes["min_F"][1:4])
+    assert abs(theta - math.atan2(x, z - (g0 - g1))) <= 1e-9
 
 
 def test_determinism_byte_identical():

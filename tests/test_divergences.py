@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ def test_classical_renyi_matches_diagonal_sandwiched():
                                    np.diag(g.astype(complex)), alpha)) <= 1e-12
     with pytest.raises(DimensionMismatch):
         dv.classical_renyi(p, np.array([0.5, 0.5]), 1.0)
+
+
+def test_classical_divergences_reject_non_vectors():
+    p = np.array([0.5, 0.3, 0.2])
+    fns = [lambda a, b: dv.classical_renyi(a, b, 0.75), dv.classical_kl,
+           dv.classical_rel_entropy_variance]
+    for fn in fns:
+        for a, b in ((p, p[:2] / p[:2].sum()), (SIG2, SIG2), (p[:2], SIG2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # no ComplexWarning before the check
+                with pytest.raises(DimensionMismatch):
+                    fn(a, b)
 
 
 def test_quantum_divergences_reject_mismatched_shapes():

@@ -170,12 +170,12 @@ def test_lockstep_descent_matches_each_start_alone(objective):
     c0, ok = proj.project(starts)
     assert ok.all()
     obj = _CountingObjective(objective(sig, 2.0))
-    q, c = sm._descend(obj, c0, proj.project, 200, 1e-9)
+    q, c = sm._descend(obj, c0, proj.project, 200)
     # the stack thinned out over several iterations, and some starts ran on
     # to the iteration cap
     assert len(set(obj.sizes)) >= 3 and obj.sizes[-1] >= 1
     for i in range(len(c0)):
-        qi, ci = sm._descend(obj.obj, c0[i:i + 1], proj.project, 200, 1e-9)
+        qi, ci = sm._descend(obj.obj, c0[i:i + 1], proj.project, 200)
         assert abs(qi[0] - q[i]) <= 1e-12
         assert np.max(np.abs(ci[0] - c[i])) <= 1e-12
 
@@ -306,4 +306,4 @@ def test_smoothed_monotone_rejects_entanglement():
 
 def test_smoothed_petz_range_check():
     with pytest.raises(AlphaOutOfRange):
-        sm.smoothed_petz(RHO2, SIG2, small_spec(0.1, 2.5))
+        sm._smoothed_petz(RHO2, SIG2, small_spec(0.1, 2.5))
