@@ -93,17 +93,31 @@ def parse_vector(text, rationalize=None):
     return np.asarray(vals, dtype=float), (fracs if all_rational else None)
 
 
-def load_matrix(path) -> np.ndarray:
+def load_matrix(path, flag=None) -> np.ndarray:
+    """The matrix in a JSON file. A --rho file must hold a state (Hermitian,
+    PSD, trace in (0, 1]) and a --sigma file a Hermitian PSD matrix."""
     if not os.path.isfile(path):
         raise InputError(f"no such matrix file: {path}")
     with open(path) as fh:
-        return qmat.matrix_from_json(fh.read())
+        text = fh.read()
+    try:
+        m = qmat.matrix_from_json(text)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"{path}: not a JSON matrix with keys dim, re, im ({exc!r})") from None
+    try:
+        if flag == "rho":
+            qmat.DensityOperator(m)
+        elif flag == "sigma":
+            qmat._check_psd(m)
+    except ValueError as exc:
+        raise InputError(f"--{flag} {path}: {exc}") from None
+    return m
 
 
 def _state_arg(args, name_matrix, name_vector, rationalize=None):
     path = getattr(args, name_matrix, None)
     if path:
-        return load_matrix(path), None
+        return load_matrix(path, name_matrix), None
     vec = getattr(args, name_vector, None)
     if vec is None:
         raise InputError(f"need --{name_matrix.replace('_', '-')} or --{name_vector.replace('_', '-')}")
@@ -176,8 +190,8 @@ def cmd_smooth(args):
         return 0
     if args.rho is None or args.sigma is None:
         raise InputError("smooth needs --rho and --sigma, or --appendix-b")
-    rho = load_matrix(args.rho)
-    sig = load_matrix(args.sigma)
+    rho = load_matrix(args.rho, "rho")
+    sig = load_matrix(args.sigma, "sigma")
     ball = {"subnormalized": sm.Ball.SUBNORMALIZED_PURIFIED,
             "normalized": sm.Ball.NORMALIZED_PURIFIED,
             "trace": sm.Ball.SUBNORMALIZED_TRACE}[args.ball]

@@ -57,7 +57,7 @@ def sandwiched(rho, sigma, alpha: float) -> float:
     alpha = 1 dispatches to the Umegaki relative entropy, alpha = inf to the
     max-divergence, alpha = 1/2 to -log2 of the plain fidelity.
     """
-    if alpha < 0.5:
+    if not alpha >= 0.5:
         raise AlphaOutOfRange(f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
     r, s = _pair(rho, sigma)
     if math.isinf(alpha):
@@ -162,23 +162,41 @@ def classical_renyi(p, q, alpha: float) -> float:
     """Classical Renyi divergence, matching sandwiched on diagonal embeddings."""
     pv, qv = _classical_pair(p, q)
     if math.isinf(alpha):
+        if alpha < 0.0:
+            raise AlphaOutOfRange(f"classical Renyi divergence needs a real order or +inf, got {alpha}")
         mask = pv > 0
         if np.any(mask & (qv <= 0)):
             return math.inf
         return float(np.log2(np.max(pv[mask] / qv[mask])))
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
         return classical_kl(pv, qv)
-    if alpha > 1.0:
-        if np.any((pv > OVERLAP_TOL) & (qv <= 0)):
-            return math.inf
-        mask = (pv > 0) & (qv > 0)   # mass below tolerance on ker(q) is dropped
-        s = float((pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)).sum())
-    else:
-        mask = (pv > 0) & (qv > 0)
-        s = float((pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)).sum())
-        if s <= 0.0:
-            return math.inf
+    if alpha > 1.0 and np.any((pv > OVERLAP_TOL) & (qv <= 0)):
+        return math.inf
+    mask = (pv > 0) & (qv > 0)   # for alpha > 1, mass below tolerance on ker(q) is dropped
+    s = float((pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)).sum())
+    if not 0.0 < s < math.inf:      # a NaN order always lands here
+        if math.isnan(alpha):
+            raise AlphaOutOfRange(f"classical Renyi divergence needs a real order or +inf, got {alpha}")
+        if mask.any():
+            return _renyi_log_domain(pv[mask], qv[mask], alpha)
+    if alpha < 1.0 and s <= 0.0:
+        return math.inf
     return float(np.log2(s)) / (alpha - 1.0)
+
+
+def _renyi_log_domain(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
+    """log2(sum p^alpha q^(1-alpha)) / (alpha - 1) for positive p and q, at an
+    |alpha| so large that the terms under- or overflow.
+
+    With k = alpha - 1 and u = (alpha / k) log2 p - log2 q, each term is 2^(k u),
+    so the value is u* + log2(sum 2^(k (u - u*))) / k, where u* is the max of u
+    for k > 0 and the min for k < 0: every exponent is <= 0 and the sum is in [1, n].
+    """
+    k = alpha - 1.0
+    u = (alpha / k) * np.log2(p) - np.log2(q)
+    top = float(u.max() if k > 0.0 else u.min())
+    with np.errstate(over="ignore"):     # k (u - u*) may round to -inf: a zero term
+        return top + float(np.log2(np.exp2(k * (u - top)).sum())) / k
 
 
 def classical_kl(p, q) -> float:

@@ -13,6 +13,7 @@ most one,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ TRACE_TOL = 1e-10      # slack on trace <= 1, and on the unit sum of a Gibbs sta
 KERNEL_TOL = 1e-14     # eigenvalues <= KERNEL_TOL are kernel for powers t <= 0
 SUPPORT_RTOL = 1e-12   # support_mask: eigenvalue threshold relative to the largest
 SUM_TOL = 1e-12        # slack on classical sums
+GEODESIC_MIN_ANGLE = 1e-6  # bures_geodesic: below this angle the direction from sigma to rho is rounding noise
 
 LOG2E = float(np.log2(np.e))
 
@@ -42,13 +44,7 @@ class DensityOperator:
 
     def __init__(self, data):
         data = np.asarray(data, dtype=complex)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got {data.shape}")
-        if np.max(np.abs(data - data.conj().T)) > HERM_TOL:
-            raise NonHermitian("matrix is not Hermitian within 1e-12")
-        w = np.linalg.eigvalsh(hermitize(data))
-        if w[0] < -EVAL_NEG_TOL:
-            raise ValueError(f"matrix not PSD: min eigenvalue {w[0]:.3e}")
+        _check_psd(data)
         tr = float(np.trace(data).real)
         if not 0.0 < tr <= 1.0 + TRACE_TOL:
             raise ValueError(f"trace {tr} outside (0, 1]")
@@ -58,6 +54,18 @@ class DensityOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.data).real)
+
+
+def _check_psd(data: np.ndarray):
+    """Raise unless data is a square Hermitian matrix with no eigenvalue below
+    -EVAL_NEG_TOL."""
+    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got {data.shape}")
+    if np.max(np.abs(data - data.conj().T)) > HERM_TOL:
+        raise NonHermitian("matrix is not Hermitian within 1e-12")
+    w = np.linalg.eigvalsh(hermitize(data))
+    if w[0] < -EVAL_NEG_TOL:
+        raise ValueError(f"matrix not PSD: min eigenvalue {w[0]:.3e}")
 
 
 @dataclass
@@ -263,6 +271,41 @@ def gen_trace_distance(rho, sigma) -> float:
     """Generalized trace distance (Tr|rho-sigma| + |Tr(rho-sigma)|) / 2."""
     d = asmat(rho) - asmat(sigma)
     return 0.5 * (trace_norm_herm(d) + abs(float(np.trace(d).real)))
+
+
+def bures_geodesic(rho, sigma, theta: float):
+    """The Bures geodesic from sigma through rho, extended past rho by the angle theta.
+
+    With A = arccos sqrt F(rho, sigma) the Bures angle and
+    M = sigma^(-1/2) (sigma^(1/2) rho sigma^(1/2))^(1/2) sigma^(-1/2), so that
+    rho = M sigma M, returns (omega, A + theta, ok) where omega = X sigma X and
+
+        X = (sin(A + theta) M - sin(theta) I) / sin A.
+
+    ok holds only when rho and sigma have unit trace, sigma has full rank,
+    GEODESIC_MIN_ANGLE < A, A + theta < pi/2 and X >= 0. Then omega is a state
+    with sqrt F(omega, rho) = cos(theta) and sqrt F(omega, sigma) = cos(A + theta):
+    X commutes with M, and X and MX are PSD, so both overlaps of the purifications
+    X sigma^(1/2), M sigma^(1/2) and sigma^(1/2) are trace norms. Otherwise omega
+    is None (not computed) or the point the formula gives, and ok is False.
+    """
+    r, s = asmat(rho), asmat(sigma)
+    ws, us = eigh(s)
+    if (abs(np.trace(r).real - 1.0) > TRACE_TOL or abs(ws.sum() - 1.0) > TRACE_TOL
+            or not support_mask(ws).all()):
+        return None, math.nan, False
+    half = (us * np.sqrt(ws)) @ dag(us)
+    wc, uc = eigh(half @ r @ half)
+    wc = np.sqrt(spectral_clip(wc))
+    a = math.acos(min(1.0, float(wc.sum())))
+    angle = a + theta
+    if not (a > GEODESIC_MIN_ANGLE and angle < math.pi / 2.0):
+        return None, angle, False
+    inv_half = (us / np.sqrt(ws)) @ dag(us)
+    m = inv_half @ ((uc * wc) @ dag(uc)) @ inv_half
+    x = hermitize(math.sin(angle) * m - math.sin(theta) * np.eye(len(ws))) / math.sin(a)
+    omega = hermitize(x @ s @ x)
+    return omega, angle, bool(np.linalg.eigvalsh(x)[0] >= 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,19 @@ an r x r matrix, r = rank(rho), and the retraction into the ball finds its
 boundary point with a few stacked eigvalsh calls over a grid of mixing
 weights (_BallProjector, _grid_search).
 
-Returned values are certified only as one-sided heuristic bounds: any feasible
-point lower-bounds a supremum and upper-bounds an infimum. Acceptance-grade
-instances are those with known analytic optimizers, which are included among
-the structured starts.
+Values from the descent are certified only as one-sided heuristic bounds: any
+feasible point lower-bounds a supremum and upper-bounds an infimum.
+Acceptance-grade instances are those with known analytic optimizers, which are
+included among the structured starts.
+
+At alpha = 1/2 on either purified ball the maximum has a closed form,
+-2 log2 cos(A + arcsin eps) with A the Bures angle of (rho, sigma), attained
+on the Bures geodesic from sigma through rho extended past rho. It is
+returned, labelled ANALYTIC_EXACT and without any descent, when rho and sigma
+are normalized, sigma has full rank, 0 < A, A + arcsin eps < pi/2, the
+geodesic factor X is PSD (qmat.bures_geodesic) and the geodesic point passes
+the engine's own ball test (_geodesic_optimum). Otherwise the descent runs
+as for every other order.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
+from .divergences import _pair
 from .errors import AlphaOutOfRange, DimensionCap, ResmonoError, TheoryUnsupported
 from .qmat import asmat, dag, hermitize, mpow, sqrtm_psd
 
@@ -46,6 +56,7 @@ class Ball(enum.Enum):
 
 
 class Certified(enum.Enum):
+    ANALYTIC_EXACT = "analytic_exact"
     HEURISTIC_LOWER_BOUND = "heuristic_lower_bound"
     HEURISTIC_UPPER_BOUND = "heuristic_upper_bound"
 
@@ -309,16 +320,46 @@ def _random_starts(rho: np.ndarray, eps: float, n: int, seed: int):
     return out
 
 
+def _check_epsilon(eps: float):
+    if not 0.0 < eps < 1.0:
+        raise AlphaOutOfRange(f"epsilon must lie in (0,1), got {eps}")
+
+
+def _checked(rho, sigma, spec: SmoothingSpec):
+    """rho and sigma as matrices, rejected unless epsilon lies in (0, 1), their
+    shapes agree and the dimension is within DIM_CAP."""
+    _check_epsilon(spec.epsilon)
+    rho, sigma = _pair(rho, sigma)
+    if rho.shape[0] > DIM_CAP:
+        raise DimensionCap(f"smoothing capped at dimension {DIM_CAP}")
+    return rho, sigma
+
+
+def _geodesic_optimum(rho, sigma, spec: SmoothingSpec):
+    """The exact alpha = 1/2 maximum over a purified ball, or None.
+
+    For every rho~ in either purified ball around a normalized rho, the
+    triangle inequality of the Bures angle gives angle(rho~, sigma) <= A + theta,
+    A the Bures angle of (rho, sigma) and theta = arcsin(eps), so
+    D_1/2(rho~||sigma) <= -2 log2 cos(A + theta). The extended geodesic point of
+    qmat.bures_geodesic attains that bound whenever its flag holds; it is
+    returned only if it also passes the engine's own ball test.
+    """
+    if spec.alpha != 0.5 or spec.ball is Ball.SUBNORMALIZED_TRACE:
+        return None
+    rho, sigma = _checked(rho, sigma, spec)
+    omega, angle, ok = qmat.bures_geodesic(rho, sigma, math.asin(spec.epsilon))
+    if not ok or _BallProjector(rho, spec.epsilon, spec.ball).distance(omega) > spec.epsilon + BALL_SLACK:
+        return None
+    return SmoothedValue(-2.0 * math.log2(math.cos(angle)), omega, Certified.ANALYTIC_EXACT)
+
+
 def _optimize(rho, sigma, spec: SmoothingSpec, objective, warm_starts=None) -> SmoothedValue:
     """Drive objective(sigma, alpha).q downhill over the ball of spec, from
     the warm, structured and random starts; log2(Q) / (alpha - 1) of the best
     feasible point, labelled as the one-sided bound it is."""
     alpha, eps, ball = spec.alpha, spec.epsilon, spec.ball
-    if not 0.0 < eps < 1.0:
-        raise AlphaOutOfRange(f"epsilon must lie in (0,1), got {eps}")
-    rho, sigma = asmat(rho), asmat(sigma)
-    if rho.shape[0] > DIM_CAP:
-        raise DimensionCap(f"smoothing capped at dimension {DIM_CAP}")
+    rho, sigma = _checked(rho, sigma, spec)
     cert = Certified.HEURISTIC_LOWER_BOUND if alpha < 1.0 else Certified.HEURISTIC_UPPER_BOUND
     compress = None
     sig = sigma
@@ -442,10 +483,15 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int):
 def smoothed_sandwiched(rho, sigma, spec: SmoothingSpec, warm_starts=None) -> SmoothedValue:
     """Smoothed sandwiched divergence: max over the ball for alpha in [1/2,1),
     min for alpha > 1. Monotonicity in epsilon can be enforced by passing the
-    smaller-epsilon optimizer through warm_starts."""
+    smaller-epsilon optimizer through warm_starts. At alpha = 1/2 on a
+    purified ball the exact geodesic value is returned wherever it applies
+    (_geodesic_optimum), and the descent does not run."""
     alpha = spec.alpha
-    if not (0.5 <= alpha < 1.0 or alpha > 1.0):
+    if not (0.5 <= alpha < 1.0 or 1.0 < alpha < math.inf):
         raise AlphaOutOfRange(f"smoothing needs alpha in [1/2,1) or (1,inf), got {alpha}")
+    exact = _geodesic_optimum(rho, sigma, spec)
+    if exact is not None:
+        return exact
     return _optimize(rho, sigma, spec, _SandwichedObjective, warm_starts)
 
 
@@ -489,9 +535,12 @@ def dp_check(rho, sigma, channel, alpha: float, epsilon: float,
              restarts: int = 6, max_iters: int = 400, seed: int = 0) -> DpCheckResult:
     """Numerical data-processing check for the smoothed divergence.
 
-    Both sides run with matched optimizer budgets; the left side additionally
-    seeds from the Petz-recovery pullback of the right side's optimizer, which
-    is feasible by data-processing of the purified distance.
+    At alpha = 1/2 both sides take the exact geodesic value when both qualify
+    (see _geodesic_optimum); lifted is then False. Otherwise both sides run
+    the descent with matched optimizer budgets, so that the slack never
+    compares an exact value with a heuristic one, and the left side
+    additionally seeds from the Petz-recovery pullback of the right side's
+    optimizer, which is feasible by data-processing of the purified distance.
     """
     if not 0.5 <= alpha < 1.0:
         raise AlphaOutOfRange("dp_check is defined for alpha in [1/2, 1)")
@@ -500,7 +549,11 @@ def dp_check(rho, sigma, channel, alpha: float, epsilon: float,
     es = qmat.apply_channel(s, channel)
     spec = SmoothingSpec(epsilon=epsilon, alpha=alpha, restarts=restarts,
                          max_iters=max_iters, seed=seed)
-    rhs = smoothed_sandwiched(er, es, spec)
+    lhs = _geodesic_optimum(r, s, spec)
+    rhs = _geodesic_optimum(er, es, spec) if lhs is not None else None
+    if rhs is not None:
+        return DpCheckResult(lhs=lhs.value, rhs=rhs.value, slack=lhs.value - rhs.value, lifted=False)
+    rhs = _optimize(er, es, spec, _SandwichedObjective)
     lifted = False
     warm = []
     if rhs.optimizer is not None:
@@ -508,7 +561,7 @@ def dp_check(rho, sigma, channel, alpha: float, epsilon: float,
         if pullback is not None:
             warm.append(pullback)
             lifted = True
-    lhs = smoothed_sandwiched(r, s, spec, warm_starts=warm)
+    lhs = _optimize(r, s, spec, _SandwichedObjective, warm_starts=warm)
     return DpCheckResult(lhs=lhs.value, rhs=rhs.value, slack=lhs.value - rhs.value, lifted=lifted)
 
 
@@ -556,7 +609,11 @@ def appendix_b_suite(alpha: float = 0.75, epsilon: float = 0.1,
     Rows 1-4 are the sandwiched values over normalized vs subnormalized balls
     in d=2 and its isometric embedding into d=3; rows 5-7 are the Petz
     analogues showing that no ball choice restores embedding invariance there.
+    The closed forms hold for alpha in [1/2, 1) and eps in (0, 1).
     """
+    if not 0.5 <= alpha < 1.0:
+        raise AlphaOutOfRange(f"the appendix-B closed forms need alpha in [1/2,1), got {alpha}")
+    _check_epsilon(epsilon)
     rho2 = np.diag([1.0, 0.0]).astype(complex)
     sig2 = np.eye(2, dtype=complex) / 2.0
     rho3 = np.diag([1.0, 0.0, 0.0]).astype(complex)

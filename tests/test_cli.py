@@ -6,6 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resmono import cli, qmat
 from resmono import constructions as cs
@@ -166,6 +168,35 @@ def test_usage_error_exit_two():
 REGIONS_ARGV = ["regions", "--p", "2/3,1/12,3/12", "--gamma", "7/10,2/10,1/10"]
 
 
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    """Paths of JSON matrix files, for argv tokens written as {name}."""
+    mats = {"state2": qmat.random_state(2, 2, seed=0).data,
+            "state2b": qmat.random_state(2, 2, seed=1).data,
+            "state3": qmat.random_state(3, 3, seed=0).data,
+            "not_state": np.diag([1.5, -0.5, 0.0]).astype(complex),
+            "trace_two": np.diag([1.2, 0.8]).astype(complex)}
+    root = tmp_path_factory.mktemp("matrices")
+    paths = {}
+    for name, m in mats.items():
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(qmat.matrix_to_json(m))
+    paths["no_dim"] = str(root / "no_dim.json")
+    (root / "no_dim.json").write_text('{"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}')
+    return paths
+
+
+def _with_files(argv, paths):
+    return [a.format(**paths) if a.startswith("{") else a for a in argv]
+
+
+def run_cli_err(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv)
+    return code, out, err.getvalue()
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--eps-list", "0,1e-2"],
     ["monotone", "--theory", "coherence", "--p", "0.5,0.7"],
@@ -191,6 +222,20 @@ REGIONS_ARGV = ["regions", "--p", "2/3,1/12,3/12", "--gamma", "7/10,2/10,1/10"]
     ["regions", "--p", "2/3,1/12,3/12", "--gamma", "0.5,0.5,0.5"],
     ["regions", "--p", "2/3,1/12,3/12", "--gamma", "1,0,0"],
     ["smooth", "--appendix-b", "--alpha", "2.5", "--restarts", "1", "--iters", "5"],
+    ["smooth", "--appendix-b", "--alpha", "1", "--restarts", "1", "--iters", "5"],
+    ["smooth", "--appendix-b", "--alpha", "1.5", "--restarts", "1", "--iters", "5"],
+    ["divergence", "--kind", "classical", "--alpha", "nan", "--p", "0.5,0.5", "--q", "0.3,0.7"],
+    ["divergence", "--kind", "sandwiched", "--alpha", "nan", "--rho", "{state2}",
+     "--sigma", "{state2b}"],
+    ["smooth", "--alpha", "inf", "--rho", "{state2}", "--sigma", "{state2b}"],
+    ["smooth", "--rho", "{state3}", "--sigma", "{state2}"],
+    ["smooth", "--rho", "{not_state}", "--sigma", "{state3}"],
+    ["smooth", "--rho", "{trace_two}", "--sigma", "{state2}"],
+    ["divergence", "--kind", "sandwiched", "--alpha", "0.5", "--rho", "{not_state}",
+     "--sigma", "{state3}"],
+    ["divergence", "--kind", "sandwiched", "--alpha", "0.5", "--rho", "{state3}",
+     "--sigma", "{not_state}"],
+    ["divergence", "--rho", "{no_dim}", "--sigma", "{state2}"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -198,15 +243,64 @@ REGIONS_ARGV = ["regions", "--p", "2/3,1/12,3/12", "--gamma", "7/10,2/10,1/10"]
         "sweep_gamma_ascending", "regions_grid_zero", "regions_grid_negative",
         "regions_alpha_points_zero", "regions_p_not_normalized",
         "regions_gamma_not_normalized", "regions_gamma_rank_deficient",
-        "smooth_appendix_b_petz_alpha"])
-def test_bad_input_exit_two(argv):
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, _ = run_cli(argv)
+        "smooth_appendix_b_petz_alpha", "smooth_appendix_b_alpha_one",
+        "smooth_appendix_b_alpha_above_one", "classical_alpha_nan", "sandwiched_alpha_nan",
+        "smooth_alpha_inf", "smooth_shapes", "smooth_rho_not_state", "smooth_rho_trace_two",
+        "divergence_rho_not_state", "divergence_sigma_not_psd", "matrix_file_without_dim"])
+def test_bad_input_exit_two(argv, matrix_files):
+    code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
-    assert "Traceback" not in err.getvalue()
-    assert err.getvalue().startswith("usage error: ")
-    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["divergence", "--kind", "sandwiched", "--alpha", "nan", "--rho", "{state2}",
+      "--sigma", "{state2b}"], "alpha >= 1/2, got nan"),
+    (["smooth", "--alpha", "inf", "--rho", "{state2}", "--sigma", "{state2b}"], "got inf"),
+    (["smooth", "--alpha=-inf", "--rho", "{state2}", "--sigma", "{state2b}"], "got -inf"),
+    (["smooth", "--rho", "{state3}", "--sigma", "{state2}"],
+     "rho has shape (3, 3) but sigma has shape (2, 2)"),
+    (["smooth", "--rho", "{not_state}", "--sigma", "{state3}"], "--rho "),
+    (["divergence", "--rho", "{state3}", "--sigma", "{not_state}"], "--sigma "),
+], ids=["sandwiched_alpha_nan", "smooth_alpha_inf", "smooth_alpha_minus_inf", "smooth_shapes",
+        "smooth_rho_not_state", "divergence_sigma_not_psd"])
+def test_bad_input_names_the_input(argv, named, matrix_files):
+    code, _, err = run_cli_err(_with_files(argv, matrix_files))
+    assert code == 2
+    assert named in err
+
+
+FUZZ_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 0.5]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=50, deadline=None)
+@example(kind="appendix_b", alpha=1.0, eps=0.1)
+@example(kind="classical", alpha=math.nan, eps=0.1)
+@example(kind="sandwiched", alpha=1075.0, eps=0.1)
+@given(kind=st.sampled_from(["sandwiched", "petz", "classical", "appendix_b"]),
+       alpha=FUZZ_FLOATS, eps=FUZZ_FLOATS)
+def test_argv_fuzz_exit_codes(kind, alpha, eps):
+    # --flag=value, so that argparse reads "-inf" or "-1e-05" as a value
+    if kind == "appendix_b":
+        argv = ["smooth", "--appendix-b", "--restarts", "1", "--iters", "2",
+                f"--alpha={alpha!r}", f"--eps={eps!r}"]
+    else:
+        argv = ["divergence", "--kind", kind, f"--alpha={alpha!r}",
+                "--p", "0.5,0.5", "--q", "0.3,0.7"]
+    try:
+        code, out, err = run_cli_err(argv)
+    except SystemExit as exc:           # argparse rejects the arguments
+        code, out, err = exc.code, "", ""
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        header, rows = lines[0].split(","), [l.split(",") for l in lines[1:]]
+        assert rows and all(len(r) == len(header) for r in rows)
+        assert all(cell != "nan" for r in rows for cell in r)
 
 
 @pytest.mark.parametrize("vector_rho", [False, True], ids=["matrix_matrix", "vector_matrix"])

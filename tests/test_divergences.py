@@ -47,6 +47,14 @@ def test_sandwiched_alpha_out_of_range():
         dv.sandwiched(RHO2, SIG2, 0.3)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, -math.inf])
+def test_non_real_alpha_rejected(alpha):
+    with pytest.raises(AlphaOutOfRange, match=str(alpha)):
+        dv.sandwiched(RHO2, SIG2, alpha)
+    with pytest.raises(AlphaOutOfRange, match=str(alpha)):
+        dv.classical_renyi(np.array([0.5, 0.5]), np.array([0.3, 0.7]), alpha)
+
+
 def test_sandwiched_support_conventions():
     # alpha > 1 with supp(rho) not inside supp(sigma) -> +inf
     rho = np.diag([0.5, 0.5]).astype(complex)
@@ -213,3 +221,17 @@ def test_classical_skew_symmetry_identity():
         lhs = dv.classical_renyi(g, p, alpha)
         rhs = (alpha / (1.0 - alpha)) * dv.classical_renyi(p, g, 1.0 - alpha)
         assert abs(lhs - rhs) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1075.0, 1e5, 1e300, -1e3, -1e300])
+def test_classical_renyi_extreme_orders(alpha):
+    # p^alpha q^(1-alpha) under- or overflows here; the sum is taken in the log domain
+    import mpmath
+    mpmath.mp.dps = 60
+    p, q = [0.5, 0.3, 0.2], [0.3, 0.6, 0.1]
+    a = mpmath.mpf(alpha)
+    s = sum(mpmath.mpf(pi) ** a * mpmath.mpf(qi) ** (1 - a) for pi, qi in zip(p, q))
+    expected = float(mpmath.log(s, 2) / (a - 1))
+    got = dv.classical_renyi(np.array(p), np.array(q), alpha)
+    assert math.isfinite(got)
+    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))

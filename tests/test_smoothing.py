@@ -37,6 +37,12 @@ def test_alpha_and_eps_validation():
         sm.smoothed_sandwiched(RHO2, SIG2, small_spec(0.1, 1.0))
     with pytest.raises(AlphaOutOfRange):
         sm.smoothed_sandwiched(RHO2, SIG2, small_spec(1.5, 0.75))
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(AlphaOutOfRange, match=str(alpha)):
+            sm.smoothed_sandwiched(RHO2, SIG2, small_spec(0.1, alpha))
+    for alpha in (1.0, 1.5):
+        with pytest.raises(AlphaOutOfRange):
+            sm.appendix_b_suite(alpha=alpha, restarts=1, max_iters=2)
 
 
 def test_dimension_cap():
@@ -307,3 +313,103 @@ def test_smoothed_monotone_rejects_entanglement():
 def test_smoothed_petz_range_check():
     with pytest.raises(AlphaOutOfRange):
         sm._smoothed_petz(RHO2, SIG2, small_spec(0.1, 2.5))
+
+
+# ---------------------------------------------------------------------------
+# alpha = 1/2: the Bures-geodesic closed form
+# ---------------------------------------------------------------------------
+
+PURIFIED = [sm.Ball.SUBNORMALIZED_PURIFIED, sm.Ball.NORMALIZED_PURIFIED]
+
+
+def _half_spec(eps, ball=sm.Ball.SUBNORMALIZED_PURIFIED):
+    return sm.SmoothingSpec(epsilon=eps, alpha=0.5, ball=ball, restarts=2, max_iters=60)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_half_closed_form_oracle(d):
+    taken = 0
+    for k in range(2):
+        rho = qmat.random_state(d, d, seed=3000 + 10 * d + k).data
+        sig = qmat.random_state(d, d, seed=4000 + 10 * d + k).data
+        for eps in (0.05, 0.2):
+            _, angle, ok = qmat.bures_geodesic(rho, sig, math.asin(eps))
+            for ball in PURIFIED:
+                spec = _half_spec(eps, ball)
+                sv = sm.smoothed_sandwiched(rho, sig, spec)
+                if not ok:
+                    assert sv.certified is sm.Certified.HEURISTIC_LOWER_BOUND
+                    continue
+                taken += 1
+                assert sv.certified is sm.Certified.ANALYTIC_EXACT
+                assert abs(sv.value + 2.0 * math.log2(math.cos(angle))) <= 1e-12
+                w = np.linalg.eigvalsh(sv.optimizer)
+                assert w[0] >= -1e-12
+                assert abs(w.sum() - 1.0) <= 1e-10
+                assert abs(qmat.purified_distance(sv.optimizer, rho) - eps) <= 1e-9
+                assert abs(dv.sandwiched(sv.optimizer, sig, 0.5) - sv.value) <= 1e-9
+                engine = sm._optimize(rho, sig, spec, sm._SandwichedObjective)
+                assert engine.value <= sv.value + 1e-9
+    assert taken >= 4
+
+
+def test_half_commuting_pair_matches_bhattacharyya_angle():
+    p, q = np.array([0.6, 0.3, 0.1]), np.array([0.2, 0.3, 0.5])
+    eps = 0.1
+    target = -2.0 * math.log2(math.cos(math.acos(np.sqrt(p * q).sum()) + math.asin(eps)))
+    for ball in PURIFIED:
+        sv = sm.smoothed_sandwiched(np.diag(p).astype(complex), np.diag(q).astype(complex),
+                                    _half_spec(eps, ball))
+        assert sv.certified is sm.Certified.ANALYTIC_EXACT
+        assert abs(sv.value - target) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["rho_equals_sigma", "rank_deficient_rho", "singular_sigma"])
+def test_half_falls_back_to_engine(case):
+    rho = qmat.random_state(3, 3, seed=21).data
+    sig = qmat.random_state(3, 3, seed=22).data
+    if case == "rho_equals_sigma":
+        rho = sig
+    elif case == "rank_deficient_rho":
+        rho = qmat.random_state(3, 2, seed=21).data
+    else:
+        sig = qmat.random_state(3, 2, seed=22).data
+    assert not qmat.bures_geodesic(rho, sig, math.asin(0.1))[2]
+    spec = _half_spec(0.1)
+    sv = sm.smoothed_sandwiched(rho, sig, spec)
+    engine = sm._optimize(rho, sig, spec, sm._SandwichedObjective)
+    assert sv.certified is sm.Certified.HEURISTIC_LOWER_BOUND
+    assert sv.value == engine.value
+
+
+def test_dp_check_half_both_sides_exact():
+    rho = qmat.random_state(3, 3, seed=10_000).data
+    sig = qmat.random_state(3, 3, seed=20_000).data
+    ch = qmat.random_channel(3, 3, 2, seed=30_000)
+    eps = 0.05
+    res = sm.dp_check(rho, sig, ch, 0.5, eps, restarts=2, max_iters=120)
+    assert not res.lifted
+    assert res.slack >= -1e-12
+
+    def exact(r, s):
+        a = math.acos(qmat.root_fidelity(r, s))
+        return -2.0 * math.log2(math.cos(a + math.asin(eps)))
+
+    assert abs(res.lhs - exact(rho, sig)) <= 1e-9
+    assert abs(res.rhs - exact(qmat.apply_channel(rho, ch), qmat.apply_channel(sig, ch))) <= 1e-9
+
+
+def test_dp_check_half_channel_side_only_runs_the_engine():
+    # a rank-2 input does not qualify; its full-rank image under the channel does
+    rho = qmat.random_state(3, 2, seed=31).data
+    sig = qmat.random_state(3, 3, seed=32).data
+    ch = qmat.random_channel(3, 3, 2, seed=33)
+    spec = _half_spec(0.1)
+    assert sm._geodesic_optimum(rho, sig, spec) is None
+    assert sm._geodesic_optimum(qmat.apply_channel(rho, ch), qmat.apply_channel(sig, ch),
+                                spec) is not None
+    res = sm.dp_check(rho, sig, ch, 0.5, 0.1, restarts=2, max_iters=60)
+    assert res.lifted
+    # both sides run the engine: the values it gave before the closed form existed
+    assert abs(res.lhs - 0.5204418912719756) <= 1e-12
+    assert abs(res.rhs - 0.24168934611504767) <= 1e-12
