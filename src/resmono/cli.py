@@ -133,6 +133,9 @@ def cmd_divergence(args):
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
     rho, _ = _state_arg(args, "rho", "p", args.rationalize)
     sig, _ = _state_arg(args, "sigma", "q", args.rationalize)
+    if args.kind == "sandwiched":
+        # vectors go to classical_renyi, which takes every order
+        dv._check_sandwiched_order(alpha)
     if args.kind == "classical" or (rho.ndim == 1 and sig.ndim == 1 and args.kind == "sandwiched"):
         val = dv.classical_renyi(rho, sig, alpha)
     else:

@@ -51,14 +51,18 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
+def _check_sandwiched_order(alpha: float):
+    if not alpha >= 0.5:
+        raise AlphaOutOfRange(f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
+
+
 def sandwiched(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence log2 Tr(s^((1-a)/2a) r s^((1-a)/2a))^a / (a-1).
 
     alpha = 1 dispatches to the Umegaki relative entropy, alpha = inf to the
     max-divergence, alpha = 1/2 to -log2 of the plain fidelity.
     """
-    if not alpha >= 0.5:
-        raise AlphaOutOfRange(f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
+    _check_sandwiched_order(alpha)
     r, s = _pair(rho, sigma)
     if math.isinf(alpha):
         return dmax(r, s)
@@ -74,7 +78,14 @@ def sandwiched(rho, sigma, alpha: float) -> float:
     if alpha < 1.0 and _overlap(r, s) <= OVERLAP_TOL:
         return math.inf
     a = mpow(s, (1.0 - alpha) / (2.0 * alpha))
-    q = qmat.trace_power(a @ r @ a, alpha)
+    m = a @ r @ a
+    q = qmat.trace_power(m, alpha)
+    if not 0.0 < q < math.inf:
+        # w^alpha under- or overflows at huge orders: sum it in the log domain
+        w = qmat.spectral_clip(np.linalg.eigvalsh(hermitize(m)))
+        w = w[w > 0.0]
+        if w.size:
+            return _renyi_log_domain(w, np.ones_like(w), alpha)
     if q <= 0.0:
         return math.inf
     return float(np.log2(q)) / (alpha - 1.0)

@@ -10,9 +10,13 @@ The engine works on stacks of candidates (S, d, d). All starts descend
 together as one stack: each keeps its own step, stall count and
 backtracking, and stops on its own. The winner is the first start, in start
 order, that reaches the strict minimum. A root fidelity is one eigvalsh of
-an r x r matrix, r = rank(rho), and the retraction into the ball finds its
-boundary point with a few stacked eigvalsh calls over a grid of mixing
-weights (_BallProjector, _grid_search).
+an r x r matrix, r = rank(rho). The retraction into a purified ball mixes
+each candidate outside it toward rho until its margin, the root fidelity
+minus the value the radius requires, turns >= 0. Concavity of the root
+fidelity bounds the mixing weight by some hi, and a regula-falsi search over
+the 4096 cells of [0, hi] finds the crossing cell with about three margin
+evaluations per candidate, stacked into about two eigvalsh calls per
+projection (_BallProjector, _cell_search).
 
 Values from the descent are certified only as one-sided heuristic bounds: any
 feasible point lower-bounds a supremum and upper-bounds an infimum.
@@ -44,8 +48,7 @@ from .qmat import asmat, dag, hermitize, mpow, sqrtm_psd
 
 DIM_CAP = 16
 BALL_SLACK = 1e-8        # allowed feasibility slack on returned optimizers
-GRID_POINTS = 16         # grid points per level of the boundary search, ends included
-GRID_LEVELS = 3          # 16**3 = 2**12 cells: the resolution of twelve halvings
+CELLS = 4096             # cells of the boundary search: the resolution of twelve halvings
 GRAD_TOL = 1e-9          # a start stops once its factor gradient norm falls below this
 
 
@@ -103,24 +106,46 @@ def _mix(x: np.ndarray, y, t: np.ndarray) -> np.ndarray:
     return (1.0 - t) * x + t * y
 
 
-def _grid_search(inside, hi: np.ndarray) -> np.ndarray:
-    """Per row, the least t = hi j / 16**3 (j = 1 .. 16**3) that inside accepts,
-    for a predicate monotone in t that holds at t = hi.
+def _cell_search(margin, m0: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, t = hi j / CELLS for a cell j whose evaluated margin is >= 0
+    while that of j - 1 is < 0, or hi where even hi fails.
 
-    This is the point twelve halvings of [0, hi] reach. Each of the
-    GRID_LEVELS levels calls inside once, on t of shape (S, GRID_POINTS - 1),
-    and keeps the cell below the first accepted point.
+    margin(rows, t) evaluates those rows at t of shape (len(rows), K); m0 < 0
+    is each row's margin at t = 0. One call at t = hi opens the bracket
+    [0, CELLS] of cells. Each round evaluates the pair (j - 1, j) at the
+    regula-falsi root of the bracket in one call and keeps the cells whose
+    margins straddle zero. After two rounds that did not halve the bracket
+    the pair goes to its midpoint, so every three rounds at least halve it.
+    On a margin monotone over the probed cells this is the cell that twelve
+    halvings of [0, hi] reach. On a concave margin the chord lies below the
+    margin, so the root never falls short of the crossing; over the short
+    mixing range of a descent step one pair mostly finds it.
     """
-    cells = GRID_POINTS ** GRID_LEVELS
-    lo = np.zeros(len(hi), dtype=np.int64)
-    width = cells
-    k = np.arange(1, GRID_POINTS)
-    for _ in range(GRID_LEVELS):
-        width //= GRID_POINTS
-        ok = inside(hi[:, None] * ((lo[:, None] + width * k) / cells))
-        # no point accepted: the top cell, which ends at the feasible hi
-        lo += width * np.where(ok.any(axis=1), ok.argmax(axis=1), GRID_POINTS - 1)
-    return hi * ((lo + 1) / cells)
+    n = len(hi)
+    a, b = np.zeros(n, dtype=np.int64), np.full(n, CELLS)
+    ma, mb = m0.astype(float), margin(np.arange(n), hi[:, None])[:, 0]
+    live = np.flatnonzero(mb >= 0.0)
+    slow = np.zeros(n, dtype=np.int64)
+    while True:
+        live = live[b[live] - a[live] > 1]
+        if not live.size:
+            break
+        al, bl = a[live], b[live]
+        secant = al + (bl - al) * (ma[live] / (ma[live] - mb[live]))
+        guess = np.where(slow[live] < 2, np.ceil(secant), (al + bl + 1) // 2)
+        # the pair lies in (a, b]: cell a has been evaluated already
+        j = np.fmin(np.fmax(guess, al + 2), bl).astype(np.int64)
+        mp = margin(live, hi[live, None] * (np.stack([j - 1, j], axis=1) / CELLS))
+        low_ok, high_ok = mp[:, 0] >= 0.0, mp[:, 1] >= 0.0
+        # low point accepted: the bracket ends at j - 1; otherwise it starts at
+        # j - 1 and, unless the high point is accepted, at j
+        a_new = np.where(low_ok, al, np.where(high_ok, j - 1, j))
+        b_new = np.where(low_ok, j - 1, np.where(high_ok, j, bl))
+        ma[live] = np.where(low_ok, ma[live], np.where(high_ok, mp[:, 0], mp[:, 1]))
+        mb[live] = np.where(low_ok, mp[:, 0], np.where(high_ok, mp[:, 1], mb[live]))
+        slow[live] = np.where(2 * (b_new - a_new) <= bl - al, 0, slow[live] + 1)
+        a[live], b[live] = a_new, b_new
+    return hi * (b / CELLS)
 
 
 class _BallProjector:
@@ -140,10 +165,16 @@ class _BallProjector:
     square roots of the eigenvalues of the r x r matrix W^dag c W: one eigvalsh
     per candidate. Unlike sqrt(rho) c sqrt(rho), it has no eigenvalues on the
     kernel of rho, which would be rounding noise that the square root
-    amplifies. W^dag c W is linear in c, so along a mix it is affine in the mixing
-    weight, and each level of _grid_search is one stacked eigvalsh over every
-    pending candidate and grid point. The trace ball around rho keeps its
-    closed form: mixing toward the center shrinks the distance linearly.
+    amplifies. The trace ball around rho keeps its closed form: mixing toward
+    the center shrinks the distance linearly.
+
+    Otherwise a candidate outside the ball is mixed toward the anchor by the
+    weight that _cell_search finds on the margin: rf - f_req on a purified
+    ball, eps minus the trace distance on the compressed trace ball, both
+    concave in the weight t and >= 0 inside. W^dag c W is affine in t along a
+    mix, so each round of the search is one stacked eigvalsh. Toward rho the
+    root fidelity is at least (1 - t) rf + t, which bounds the weight by
+    hi = (f_req - rf) / (1 - rf); toward a compressed anchor hi is 1.
     """
 
     def __init__(self, rho: np.ndarray, eps: float, ball: Ball, compress=None):
@@ -181,10 +212,12 @@ class _BallProjector:
     def _tdist(self, m: np.ndarray, tr) -> np.ndarray:
         return 0.5 * (np.abs(np.linalg.eigvalsh(m)).sum(axis=-1) + np.abs(tr - self.tr_rho))
 
-    def _inside(self, m: np.ndarray, tr) -> np.ndarray:
+    def _margin(self, m: np.ndarray, tr) -> np.ndarray:
+        """How far inside the ball a candidate lies: rf - f_req on a purified
+        ball, eps minus the distance on the trace ball; >= 0 inside."""
         if self.ball is Ball.SUBNORMALIZED_TRACE:
-            return self._tdist(m, tr) <= self.eps
-        return self._rf(m, tr) >= self.f_req
+            return self.eps - self._tdist(m, tr)
+        return self._rf(m, tr) - self.f_req
 
     def root_f(self, c: np.ndarray):
         """Generalized root fidelity with rho of a candidate, or of each
@@ -215,9 +248,11 @@ class _BallProjector:
                 t = 1.0 - self.eps / delta[far]
                 c[far] = hermitize(_mix(c[far], self.rho, t))
                 return c, ok
+            m0 = self.eps - delta[far]
         else:
             rf = self._rf(m, tr)
             far = np.flatnonzero(rf < self.f_req)
+            m0 = rf[far] - self.f_req
         if not self.anchor_ok:
             ok[far] = False
             return c, ok
@@ -226,8 +261,10 @@ class _BallProjector:
             if self.v is None:
                 # concavity of the root fidelity makes hi feasible on the way to rho
                 hi = np.minimum(1.0, (self.f_req - rf[far]) / np.maximum(1.0 - rf[far], 1e-15) + 1e-12)
-            t = _grid_search(lambda t: self._inside(_mix(m[far], self.m_anchor, t),
-                                                    _mix(tr[far], self.tr_anchor, t)), hi)
+            mf, trf = m[far], tr[far]
+            t = _cell_search(lambda rows, t: self._margin(_mix(mf[rows], self.m_anchor, t),
+                                                          _mix(trf[rows], self.tr_anchor, t)),
+                             m0, hi)
             c[far] = hermitize(_mix(c[far], self.anchor, t))
             if self.ball is Ball.NORMALIZED_PURIFIED:
                 c[far] /= _trace(c[far])[:, None, None]

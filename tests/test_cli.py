@@ -236,6 +236,7 @@ def run_cli_err(argv):
     ["divergence", "--kind", "sandwiched", "--alpha", "0.5", "--rho", "{state3}",
      "--sigma", "{not_state}"],
     ["divergence", "--rho", "{no_dim}", "--sigma", "{state2}"],
+    ["divergence", "--kind", "sandwiched", "--alpha", "0.3", "--p", "0.5,0.5", "--q", "0.3,0.7"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -246,7 +247,8 @@ def run_cli_err(argv):
         "smooth_appendix_b_petz_alpha", "smooth_appendix_b_alpha_one",
         "smooth_appendix_b_alpha_above_one", "classical_alpha_nan", "sandwiched_alpha_nan",
         "smooth_alpha_inf", "smooth_shapes", "smooth_rho_not_state", "smooth_rho_trace_two",
-        "divergence_rho_not_state", "divergence_sigma_not_psd", "matrix_file_without_dim"])
+        "divergence_rho_not_state", "divergence_sigma_not_psd", "matrix_file_without_dim",
+        "sandwiched_vectors_alpha_below_half"])
 def test_bad_input_exit_two(argv, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
@@ -290,6 +292,11 @@ def test_argv_fuzz_exit_codes(kind, alpha, eps):
     else:
         argv = ["divergence", "--kind", kind, f"--alpha={alpha!r}",
                 "--p", "0.5,0.5", "--q", "0.3,0.7"]
+    _assert_clean_exit(argv)
+
+
+def _assert_clean_exit(argv):
+    """Exit 0, 2 or 3 without a traceback, and well-formed CSV on exit 0."""
     try:
         code, out, err = run_cli_err(argv)
     except SystemExit as exc:           # argparse rejects the arguments
@@ -301,6 +308,28 @@ def test_argv_fuzz_exit_codes(kind, alpha, eps):
         header, rows = lines[0].split(","), [l.split(",") for l in lines[1:]]
         assert rows and all(len(r) == len(header) for r in rows)
         assert all(cell != "nan" for r in rows for cell in r)
+
+
+def _pair_of(x):
+    return f"{x!r},{1.0 - x!r}"
+
+
+FUZZ_ARGV = {
+    "monotone": lambda x, y: ["monotone", "--theory", "coherence", f"--alpha={x!r}",
+                              f"--p={_pair_of(y)}"],
+    "bound": lambda x, y: ["bound", f"--alpha={x!r}", f"--eps-list={y!r},1e-2"],
+    "exponent": lambda x, y: ["exponent", f"--p1={_pair_of(x)}", "--q1", "0.5,0.5",
+                              f"--p2={_pair_of(y)}", "--q2", "0.5,0.5", "--optimized"],
+    "catalyst": lambda x, y: ["catalyst", f"--rho={_pair_of(x)}", "--rho-prime", "0.6,0.4",
+                              "--eta", "0.5,0.5", f"--eta-prime={_pair_of(y)}", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
+@settings(max_examples=30, deadline=None)
+@given(x=FUZZ_FLOATS, y=FUZZ_FLOATS)
+def test_argv_fuzz_exit_codes_more_commands(command, x, y):
+    _assert_clean_exit(FUZZ_ARGV[command](x, y))
 
 
 @pytest.mark.parametrize("vector_rho", [False, True], ids=["matrix_matrix", "vector_matrix"])

@@ -235,3 +235,23 @@ def test_classical_renyi_extreme_orders(alpha):
     got = dv.classical_renyi(np.array(p), np.array(q), alpha)
     assert math.isfinite(got)
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e5, 1e300])
+def test_sandwiched_huge_orders(alpha):
+    # Tr[M^alpha] overflows from about alpha = 2000 on; D_alpha tends to D_max
+    rho = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
+    sig = np.eye(2, dtype=complex) / 2.0
+    got = dv.sandwiched(rho, sig, alpha)
+    if alpha == 1e300:
+        expected = dv.dmax(rho, sig)
+    else:
+        import mpmath
+        with mpmath.workdps(60):
+            a, b, c = (mpmath.mpf(x) for x in (0.7, 0.1, 0.3))
+            root = mpmath.sqrt((a - c) ** 2 + 4 * b ** 2)
+            lam = ((a + c + root) / 2, (a + c - root) / 2)
+            # with sigma = I/2, Tr[M^alpha] = 2^(alpha - 1) Tr[rho^alpha]
+            k = mpmath.mpf(alpha)
+            expected = float(1 + mpmath.log(lam[0] ** k + lam[1] ** k, 2) / (k - 1))
+    assert abs(got - expected) <= 1e-9

@@ -128,7 +128,7 @@ def test_root_fidelity_kernel_matches_qmat(d):
 
 
 def _bisection(inside, hi):
-    """The twelve-halving search the grid search replaces, kept as its reference."""
+    """Twelve halvings of [0, hi]: the reference for the cell search."""
     lo = 0.0
     for _ in range(12):
         mid = 0.5 * (lo + hi)
@@ -139,19 +139,102 @@ def _bisection(inside, hi):
     return hi
 
 
+def _search(margin, his):
+    """_cell_search on a margin of t alone, for each bound in his."""
+    return sm._cell_search(lambda rows, t: margin(t), margin(np.zeros(len(his))), his)
+
+
 @settings(max_examples=300, deadline=None)
 @given(hi=st.floats(1e-6, 1.0), frac=st.floats(0.0, 1.0))
-def test_grid_search_matches_bisection(hi, frac):
+def test_cell_search_matches_bisection(hi, frac):
     tau = frac * hi
     his = np.array([hi, 0.7 * hi, 0.3 * hi])
-    got = sm._grid_search(lambda t: t >= tau, his)
-    # at a threshold within rounding of a grid point the two searches may
-    # round that point to opposite sides of it
+    # at a threshold within rounding of a cell the two searches may round that
+    # cell to opposite sides of it
     clear = [np.min(np.abs(h * np.arange(4097) / 4096 - tau)) > 1e-14 * h for h in his]
     assume(clear[0])
-    for h, g, c in zip(his, got, clear):
-        if c:
-            assert abs(g - _bisection(lambda t: t >= tau, h)) <= 1e-15 * h
+    # a linear margin, and a concave one whose chord misses the crossing
+    for margin in (lambda t: t - tau, lambda t: np.sqrt(t) - math.sqrt(tau)):
+        got = _search(margin, his)
+        for h, g, c in zip(his, got, clear):
+            if c:
+                assert abs(g - _bisection(lambda t: margin(t) >= 0.0, h)) <= 1e-15 * h
+
+
+def test_cell_search_returns_hi_when_hi_fails():
+    his = np.array([0.5, 0.5, 1e-3])
+    taus = np.array([0.7, 0.2, 1e-3 * (1.0 + 1e-9)])
+    got = sm._cell_search(lambda rows, t: t - taus[rows, None], -taus, his)
+    assert got[0] == 0.5 and got[2] == 1e-3
+    assert got[1] == 0.5 * math.ceil(0.2 / 0.5 * 4096) / 4096
+
+
+def test_cell_search_on_noisy_margin_ends_inside():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        hi = 10.0 ** rng.uniform(-12, 0)
+        tau, amp, freq = rng.uniform(-0.1, 1.1) * hi, rng.uniform(0.0, 0.3) * hi, rng.uniform(1e2, 1e5)
+        calls = []
+
+        def margin(t):
+            calls.append(t.shape)
+            return t - tau + amp * np.sin(freq * t / hi)
+
+        got = _search(margin, np.array([hi]))[0]
+        assert got == hi or margin(got) >= 0.0
+        # t = 0, t = hi, at most three rounds per halving of 4096 cells, the check
+        assert len(calls) <= 2 + 3 * 12 + 1
+
+
+def test_cell_search_matches_root_fidelity_scan(monkeypatch):
+    # every search the projector makes, against the least of all 4096 cells
+    # whose evaluated margin is >= 0
+    calls, search = [], sm._cell_search
+
+    def recording(margin, m0, hi):
+        t = search(margin, m0, hi)
+        calls.append((margin, hi, t))
+        return t
+
+    monkeypatch.setattr(sm, "_cell_search", recording)
+    checked = 0
+    for d, ball in [(3, sm.Ball.SUBNORMALIZED_PURIFIED), (4, sm.Ball.NORMALIZED_PURIFIED)]:
+        rho = _random_psd(d, d, 7 * d, 0.95)
+        proj = sm._BallProjector(rho, 0.1, ball)
+        cands = np.array(sm._random_starts(rho, 0.3, 40, seed=d))
+        _, ok = proj.project(cands)
+        assert ok.all()
+    cells = np.arange(1, 4097) / 4096
+    for margin, hi, t in calls:
+        ok = margin(np.arange(len(hi)), hi[:, None] * cells) >= 0.0
+        for h, row, got in zip(hi, ok, t):
+            assert row[-1] and np.all(row[np.argmax(row):])   # monotone
+            assert got == h * ((np.argmax(row) + 1) / 4096)
+            checked += 1
+    assert checked >= 40
+
+
+def test_cell_search_point_count(monkeypatch):
+    # the boundary search costs a few margin points per projected row; the
+    # 45-point grid it replaced would read 45
+    points, rows, search = [], [], sm._cell_search
+
+    def counting(margin, m0, hi):
+        rows.append(len(hi))
+
+        def counted(r, t):
+            points.append(t.size)
+            return margin(r, t)
+
+        return search(counted, m0, hi)
+
+    monkeypatch.setattr(sm, "_cell_search", counting)
+    rho = qmat.random_state(4, 4, seed=1).data
+    sig = qmat.random_state(4, 4, seed=2).data
+    ch = qmat.random_channel(4, 4, 2, seed=3)
+    sm.dp_check(rho, sig, ch, 0.7, 0.2, restarts=2, max_iters=120, seed=0)
+    assert sum(rows) > 1000
+    assert sum(points) / sum(rows) <= 6.0
 
 
 class _CountingObjective:
