@@ -7,7 +7,10 @@ from the Schmidt vector). The fidelity of coherence comes in a primal form
 
     F_coh(rho) = inf_{R > 0} Tr[rho R^-1] ||Delta(R)||_inf
 
-whose optimizers cross-validate each other.
+whose optimizers cross-validate each other. The dual starts at the Uhlmann
+transition operator of the primal optimum, which the KKT conditions of the
+primal make dual-optimal, and one L-BFGS-B run polishes it before the value
+is certified.
 """
 
 from __future__ import annotations
@@ -136,6 +139,30 @@ def _coherence_q_obj(rho: np.ndarray, alpha: float):
     return obj, grad
 
 
+def _coherence_log_obj(rho: np.ndarray, alpha: float):
+    """The divergence log2(Tr[M^alpha]) / (alpha - 1) itself, M as above, and
+    its gradient -(M^alpha)_ii / (q_i Tr[M^alpha] ln 2) in q. Both are summed
+    from the spectrum of M over its largest eigenvalue, so no power under- or
+    overflows at any order."""
+    c = (1.0 - alpha) / (2.0 * alpha)
+
+    def spectrum(q):
+        s = q ** c
+        w, u = np.linalg.eigh(hermitize((s[:, None] * rho) * s[None, :]))
+        w = qmat.spectral_clip(w)
+        return w[-1], (w / w[-1]) ** alpha, u
+
+    def obj(q):
+        top, p, _ = spectrum(q)
+        return (alpha * math.log2(top) + math.log2(p.sum())) / (alpha - 1.0)
+
+    def grad(q):
+        _, p, u = spectrum(q)
+        return -((np.abs(u) ** 2) @ p) / (q * p.sum() * math.log(2.0))
+
+    return obj, grad
+
+
 def _simplex_starts(rho: np.ndarray, restarts: int, seed: int):
     d = rho.shape[0]
     starts = [np.full(d, 1.0 / d)]
@@ -153,7 +180,10 @@ def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = MONOT
 
     For alpha in [1/2,1) the trace functional is concave in sigma and is
     maximized; for alpha > 1 it is convex and minimized. Either way a
-    stationary point of the mirror iteration is a global optimum.
+    stationary point of the mirror iteration is a global optimum. At orders
+    where Tr[M^alpha] or its gradient overflows on the way (alpha > 1 far
+    from the optimum), the descent reruns on the divergence itself, summed
+    in the log domain by _coherence_log_obj.
     """
     r = asmat(rho)
     if abs(alpha - 1.0) < dv.ALPHA_ONE_WINDOW:
@@ -164,7 +194,12 @@ def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = MONOT
     obj, grad = _coherence_q_obj(r, alpha)
     starts = _simplex_starts(r, restarts, seed)
     maximize = alpha < 1.0
-    qval, qarg = _mirror_opt(obj, grad, maximize, starts, iters=iters)
+    try:
+        with np.errstate(over="raise"):
+            qval, qarg = _mirror_opt(obj, grad, maximize, starts, iters=iters)
+    except FloatingPointError:
+        # Tr[M^alpha] or its gradient overflowed: descend on the divergence in the log domain
+        return _mirror_opt(*_coherence_log_obj(r, alpha), False, starts, iters=iters)
     if qval <= 0.0:
         return math.inf, qarg
     return float(np.log2(qval)) / (alpha - 1.0), qarg
@@ -247,8 +282,17 @@ def fidelity_coherence_dual(rho, restarts: int = 10, seed: int = 0) -> Coherence
 
     R is parameterized as N N^dag + floor*I (floor = DUAL_FLOOR) with unit-norm
     rows of N, which pins ||Delta(R)||_inf = 1 + floor and removes the scale
-    flat direction. L-BFGS-B minimizes Tr[rho R^-1] (1 + floor) with its
-    analytic gradient.
+    flat direction. One L-BFGS-B run minimizes Tr[rho R^-1] (1 + floor) with
+    its analytic gradient.
+
+    The run starts at the Uhlmann transition operator of the primal optimum
+    sigma = diag(q): M = sigma^-1/2 (sigma^1/2 rho sigma^1/2)^1/2 sigma^-1/2
+    has Tr[rho M^-1] = sqrt F(rho, sigma), and stationarity of sqrt F on the
+    simplex gives M_ii = sqrt F where q_i > 0 and M_ii <= sqrt F elsewhere,
+    so Alberti's objective at R = M is F_coh itself. N starts as
+    (M + floor*I)^1/2, with q floored at DUAL_FLOOR: the start is finite, and
+    a zero row of rho leaves no zero row in N. `restarts` and `seed` steer the
+    primal ascent (fidelity_coherence_primal) that supplies q.
 
     The optimizer's objective is not the reported value: near the optimum R
     is nearly singular, and a float evaluation of Tr[rho R^-1] there can fall
@@ -279,15 +323,13 @@ def fidelity_coherence_dual(rho, restarts: int = 10, seed: int = 0) -> Coherence
         return (float(np.trace(r @ inv).real) * (1.0 + DUAL_FLOOR),
                 np.concatenate([g.real, g.imag]).ravel())
 
-    rng = np.random.default_rng(seed)
-    inits = [np.eye(d, dtype=complex), qmat.sqrtm_psd(r + DUAL_FLOOR * eye)]
-    while len(inits) < restarts:
-        inits.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    fits = [optimize.minimize(obj_grad, np.concatenate([m0.real, m0.imag]).ravel(), jac=True,
-                              method="L-BFGS-B",
-                              options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
-            for m0 in inits[:restarts]]
-    n, _ = unpack(min(fits, key=lambda res: res.fun).x)
+    s = np.sqrt(np.clip(fidelity_coherence_primal(r, restarts, seed).argmax, DUAL_FLOOR, None))
+    trans = hermitize(qmat.sqrtm_psd(s[:, None] * r * s[None, :]) / np.outer(s, s))
+    m0 = qmat.sqrtm_psd(trans + DUAL_FLOOR * eye)
+    fit = optimize.minimize(obj_grad, np.concatenate([m0.real, m0.imag]).ravel(), jac=True,
+                            method="L-BFGS-B",
+                            options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
+    n, _ = unpack(fit.x)
     big = hermitize(n @ n.conj().T + DUAL_FLOOR * eye)
     # certification: cap the condition number, then one eigh evaluation
     w, u = np.linalg.eigh(big)
@@ -347,22 +389,32 @@ def _feasible_dmax_coherence(c: np.ndarray) -> tuple[bool, np.ndarray]:
 
 
 def _robustness_coherence(r: np.ndarray):
-    """Bisection on log2 of the robustness; returns its certified upper end hi
-    with the diagonal state q that makes 2^hi diag(q) >= rho."""
+    """log2 of the robustness with the diagonal state q that makes
+    2^value diag(q) >= rho.
+
+    A rank-one rho = psi psi^dag has the closed form log2 (sum_i |psi_i|)^2
+    with q_i = |psi_i| / sum_j |psi_j| (Napoli et al., PRL 116, 150502
+    (2016)); Cauchy-Schwarz makes that q certify it. Otherwise the value is
+    the certified upper end hi of a bisection on log2 of the robustness.
+    """
     d = r.shape[0]
-    top = float(np.linalg.eigvalsh(hermitize(r))[-1])
-    hi = math.log2(max(d * top, 1.0)) + 1e-6
-    q_hi = np.full(d, 1.0 / d)     # 2^hi / d >= lambda_max(rho) at the starting hi
-    lo = 0.0
-    if _feasible_dmax_coherence(r)[0]:
-        return 0.0, np.clip(np.diag(r).real, 0, None)
-    while hi - lo > ROBUSTNESS_TOL:
-        mid = 0.5 * (lo + hi)
-        ok, q = _feasible_dmax_coherence(2.0 ** (-mid) * r)
-        if ok:
-            hi, q_hi = mid, q
-        else:
-            lo = mid
+    w = np.linalg.eigvalsh(hermitize(r))
+    if np.count_nonzero(qmat.spectral_clip(w)) == 1:
+        k = int(np.argmax(np.diag(r).real))
+        a = np.abs(r[:, k]) / math.sqrt(r[k, k].real)     # |psi_i|, from rho's largest column
+        hi, q_hi = math.log2(a.sum() ** 2), a / a.sum()
+    else:
+        if _feasible_dmax_coherence(r)[0]:
+            return 0.0, np.clip(np.diag(r).real, 0, None)
+        lo, hi = 0.0, math.log2(max(d * float(w[-1]), 1.0)) + 1e-6
+        q_hi = np.full(d, 1.0 / d)     # 2^hi / d >= lambda_max(rho) at the starting hi
+        while hi - lo > ROBUSTNESS_TOL:
+            mid = 0.5 * (lo + hi)
+            ok, q = _feasible_dmax_coherence(2.0 ** (-mid) * r)
+            if ok:
+                hi, q_hi = mid, q
+            else:
+                lo = mid
     # the bisection accepts lambda_max(c - diag q) <= 1e-9; spread any shortfall
     # of 2^hi diag(q) - rho over the diagonal, so that the returned pair has
     # 2^hi diag(q) >= rho up to the rounding of one eigvalsh

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ def test_entanglement_closed_forms():
     mixed = np.kron(np.eye(2) / 2, np.eye(2) / 2)
     with pytest.raises(TheoryUnsupported):
         mn.monotone_alpha(mixed, mn.PureBipartiteEntanglement(2, 2), 1.0)
+
+
+@pytest.mark.parametrize("p,alpha", [((0.5, 0.5), 100.0), ((0.5, 0.5), 500.0),
+                                     ((0.5, 0.5), 1e5), ((0.5, 0.5), 1e300),
+                                     ((0.7, 0.3), 500.0), ((0.7, 0.3), 1e5),
+                                     ((0.7, 0.3), 1e300)])
+def test_incoherent_state_at_huge_orders(p, alpha):
+    # Tr[M^alpha] overflows on the simplex starts: the log-domain descent
+    rho = np.diag(p).astype(complex)
+    val, q = mn.coherence_monotone(rho, alpha)
+    assert math.isfinite(val) and abs(val) <= 1e-9
+    assert np.all(np.isfinite(q))
+
+
+def test_coherent_qubit_large_orders_below_robustness():
+    rho = qmat.random_state(2, 2, seed=1).data
+    v10 = mn.monotone_alpha(rho, mn.Coherence(), 10.0)
+    v100 = mn.monotone_alpha(rho, mn.Coherence(), 100.0)
+    assert v10 <= v100 <= mn.generalized_robustness(rho, mn.Coherence()) + 1e-6
 
 
 def test_alpha_range_check():
@@ -224,6 +244,72 @@ def test_dual_value_bounds_float_reevaluation():
         assert res.value >= direct * (1.0 - 4.0 * d * eps * kappa)
 
 
+def test_dual_runs_one_polish(monkeypatch):
+    # the dual starts at the primal's transition operator: one L-BFGS-B run
+    calls = []
+    minimize = mn.optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        calls.append(fun)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(mn.optimize, "minimize", spy)
+    for d in (2, 3, 4, 5):
+        rho = qmat.random_state(d, d, seed=50 + d).data
+        before = len(calls)
+        mn.fidelity_coherence_dual(rho, restarts=6, seed=d)
+        assert len(calls) == before + 1
+    mn.fidelity_coherence_dual(plus_state(4), restarts=6)
+    assert len(calls) == 5
+
+
+def _dual_edge_states():
+    zero_row = np.zeros((3, 3), dtype=complex)
+    zero_row[0, 0] = zero_row[2, 2] = 0.5
+    zero_row[0, 2] = zero_row[2, 0] = 0.4
+    tiny = np.array([1.0, 1e-9, 1.0], dtype=complex) / math.sqrt(2.0)
+    states = [pytest.param(np.diag([1.0, 0.0]).astype(complex), id="ket0"),
+              pytest.param(np.diag([1.0, 0.0, 0.0]).astype(complex), id="diag100"),
+              pytest.param(zero_row, id="zero_row"),
+              pytest.param(np.outer(tiny, tiny.conj()), id="tiny_amplitude")]
+    rng = np.random.default_rng(3)
+    for d in range(2, 7):
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        states.append(pytest.param(np.outer(psi, psi.conj()), id=f"pure_d{d}"))
+    return states
+
+
+@pytest.mark.parametrize("rho", _dual_edge_states())
+def test_dual_edge_states(rho):
+    # singular states put zeros in the primal's argmax: the start stays finite
+    with np.errstate(all="raise"):
+        p = mn.fidelity_coherence_primal(rho, restarts=6).value
+        res = mn.fidelity_coherence_dual(rho, restarts=6)
+    assert math.isfinite(res.value)
+    assert res.value >= p - 1e-9
+    assert res.value - p <= 1e-5
+    w = np.linalg.eigvalsh(res.argmin_r)
+    assert w[0] > 0 and w[-1] / w[0] <= mn.KAPPA_CAP * (1.0 + 1e-6)
+
+
+def test_transition_operator_alone_nearly_certifies(monkeypatch):
+    # with the polish run replaced by its start, the certified value of the
+    # transition operator is within 1e-4 of the primal on the criterion-03
+    # states: the KKT argument for the warm start, checked numerically
+    monkeypatch.setattr(mn.optimize, "minimize",
+                        lambda fun, x0, **kwargs: SimpleNamespace(x=x0))
+    worst = 0.0
+    for d, count in {2: 13, 3: 13, 4: 12, 5: 12}.items():
+        for k in range(count):
+            rho = qmat.random_state(d, d, seed=1000 * d + k).data
+            p = mn.fidelity_coherence_primal(rho, restarts=6, seed=k).value
+            dl = mn.fidelity_coherence_dual(rho, restarts=6, seed=k).value
+            assert dl >= p - 1e-9
+            worst = max(worst, dl - p)
+    assert worst <= 1e-4
+
+
 def test_multiplicativity():
     diag_a = np.diag([0.7, 0.3]).astype(complex)
     diag_b = np.diag([0.2, 0.8]).astype(complex)
@@ -279,6 +365,18 @@ def test_robustness_certified_on_pure_states():
             val, q = mn.coherence_monotone(rho, math.inf)
             assert abs(val - math.log2(np.sum(np.abs(psi)) ** 2)) <= 1e-6
             assert np.linalg.eigvalsh(2.0 ** val * np.diag(q) - rho)[0] >= -1e-9
+
+
+def test_robustness_pure_states_with_zero_amplitudes():
+    # the closed form on rank-one states with zero amplitudes, down to a
+    # basis state, which is incoherent
+    for psi in ([1.0, 0.0, 0.0], [0.6, 0.0, 0.8j], [0.0, 1.0, 1.0, 0.0]):
+        v = np.array(psi, dtype=complex) / np.linalg.norm(psi)
+        rho = np.outer(v, v.conj())
+        val, q = mn.coherence_monotone(rho, math.inf)
+        assert abs(val - math.log2(np.sum(np.abs(v)) ** 2)) <= 1e-12
+        assert np.all(q >= 0.0) and abs(q.sum() - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(2.0 ** val * np.diag(q) - rho)[0] >= -1e-12
 
 
 def test_robustness_theory_unsupported():
