@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import optimize
 
 from . import divergences as dv
 from . import monotones as mn
@@ -149,6 +148,8 @@ def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
     kappa = D_(1-d1)(rho1||sigma1) - D_(1+d2)(rho2||sigma2); log-spaced grid
     followed by Nelder-Mead refinement in log-delta coordinates.
     """
+    from scipy import optimize     # loaded on first use: it is most of start-up
+
     deltas1 = np.geomspace(1e-6, 0.5, EXPONENT_GRID)
     deltas2 = np.geomspace(1e-6, 5.0, EXPONENT_GRID)
     d1_vals = np.array([_pair_renyi(rho1, sigma1, 1.0 - d) for d in deltas1])

@@ -52,6 +52,7 @@ def _fmt(x) -> str:
 
 
 def emit(args, header, rows, meta):
+    """Write rows, any iterable of tuples read once, under header and meta."""
     meta = dict(meta)
     meta["code_version"] = code_version_hash()
     out = sys.stdout if args.out == "-" else open(args.out, "w")
@@ -169,6 +170,8 @@ def cmd_monotone(args):
     state, _ = _state_arg(args, "state", "p", args.rationalize)
     theory = _theory_from_args(args)
     if state.ndim == 1:
+        if not state.sum() > 0.0:
+            raise InputError(f"--p must have a positive sum, got {state.tolist()}")
         state = qmat.ClassicalDist(state)
         if not (isinstance(theory, mn.Athermality) and theory.classical):
             state = qmat.asmat(state)
@@ -213,9 +216,9 @@ def cmd_regions(args):
     grid = cs.classify_simplex_regions(p, g, args.grid,
                                        alpha_grid=cs.default_alpha_grid(args.alpha_points),
                                        gamma_rational=g_frac)
-    rows = [(pt[0], pt[1], pt[2], lab, db, fv, rm)
+    rows = ((pt[0], pt[1], pt[2], lab, db, fv, rm)
             for pt, lab, db, fv, rm in zip(grid.points, grid.labels, grid.d_bits,
-                                           grid.f_value, grid.red_margin)]
+                                           grid.f_value, grid.red_margin))
     meta = {"command": "regions", "p": args.p, "gamma": args.gamma, "grid": args.grid,
             "nesting_violations": grid.nesting_violations,
             "oracle_disagreements": grid.oracle_disagreements,
@@ -455,7 +458,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send the unflushed rest, which
+        # Python flushes again at exit, to devnull, as the signal docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:       # every InputError, and malformed numbers
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,6 +23,8 @@ from .qmat import ClassicalDist, DensityOperator
 
 EMBED_DIM_CAP = 10 ** 6
 CMP_TOL = 1e-12
+# region names by code: the first of FO, CO, RED, CCO that holds, else OUTSIDE
+REGION_LABELS = np.array(["FO", "CO_only", "RED", "CCO_only", "OUTSIDE"])
 
 
 @dataclass
@@ -109,6 +111,8 @@ def build_athermal_qutrit_pair(big_d: int, eps_param: float) -> HardPairReport:
     is near-uniform over D-1 slots plus the mu slot, while rho' is uniform on
     the last n2 = (D-1)^(1-eps') slots.
     """
+    if not 0.0 <= eps_param <= 1.0:
+        raise InputError(f"eps_param must lie in [0, 1], got {eps_param}")
     if big_d < 100:
         raise InfeasibleRounding("need D >= 100")
     target = (big_d - 1) ** (1.0 - eps_param)
@@ -191,6 +195,9 @@ def build_coherence_pair(d: int, eps_param: float, mu: float) -> HardPairReport:
     Both monotones have closed forms here: D(rho) = (1-mu) log2(d-1),
     D(phi) = log2 d2, F(rho) = mu + (1-mu)/(d-1) and F(phi) = 1/d2.
     """
+    if d < 2 or not 0.0 <= eps_param <= 1.0 or not 0.0 <= mu <= 1.0:
+        raise InputError(f"the coherence pair needs d >= 2 and eps_param, mu in [0, 1], "
+                         f"got d={d}, eps_param={eps_param}, mu={mu}")
     d1 = int(round(d ** (1.0 - eps_param)))
     d2 = int(round(d ** eps_param))
     if d1 < 1 or d2 < 2 or d1 * d2 > d:
@@ -450,6 +457,29 @@ def _classical_d_pair(gv: np.ndarray, pts: np.ndarray, a: float):
         return d_pg, np.log2(s_gp) / (a - 1.0)
 
 
+def _simplex_points(grid_n: int) -> np.ndarray:
+    """The points (a, b, n - a - b) / n of the 3-simplex, a + b <= n, in the
+    row-major order of (a, b)."""
+    ii, jj = np.meshgrid(np.arange(grid_n + 1), np.arange(grid_n + 1), indexing="ij")
+    mask = ii + jj <= grid_n
+    a = ii[mask]
+    b = jj[mask]
+    return np.column_stack([a, b, grid_n - a - b]).astype(float) / grid_n
+
+
+def _fo_mask(pv: np.ndarray, gv: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """FO: curve_p evaluated at each point's Lorenz breakpoints dominates it.
+    Its n x 3 temporaries are freed on return."""
+    xs_p, ys_p = _lorenz_curve(pv, gv)
+    order = np.argsort(-(np.where(pts > 0, pts, 0.0) / gv[None, :]), axis=1, kind="stable")
+    g_sorted = np.take_along_axis(np.broadcast_to(gv, pts.shape), order, axis=1)
+    p_sorted = np.take_along_axis(pts, order, axis=1)
+    bx = np.cumsum(g_sorted, axis=1)
+    by = np.cumsum(p_sorted, axis=1)
+    cp_at = np.interp(bx.ravel(), xs_p, ys_p).reshape(bx.shape)
+    return np.all(cp_at >= by - CMP_TOL, axis=1)
+
+
 def default_alpha_grid(n: int = 64) -> np.ndarray:
     """n orders geometrically spaced over [1/2, 40], then 1 and infinity."""
     if n < 1:
@@ -492,21 +522,9 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     if grid_n < 1:
         raise InputError(f"grid must be >= 1, got {grid_n}")
 
-    ii, jj = np.meshgrid(np.arange(grid_n + 1), np.arange(grid_n + 1), indexing="ij")
-    mask = ii + jj <= grid_n
-    a = ii[mask]
-    b = jj[mask]
-    pts = np.column_stack([a, b, grid_n - a - b]).astype(float) / grid_n
+    pts = _simplex_points(grid_n)
 
-    # FO: curve_p evaluated at each point's Lorenz breakpoints dominates it
-    xs_p, ys_p = _lorenz_curve(pv, gv)
-    order = np.argsort(-(np.where(pts > 0, pts, 0.0) / gv[None, :]), axis=1, kind="stable")
-    g_sorted = np.take_along_axis(np.broadcast_to(gv, pts.shape), order, axis=1)
-    p_sorted = np.take_along_axis(pts, order, axis=1)
-    bx = np.cumsum(g_sorted, axis=1)
-    by = np.cumsum(p_sorted, axis=1)
-    cp_at = np.interp(bx.ravel(), xs_p, ys_p).reshape(bx.shape)
-    fo = np.all(cp_at >= by - CMP_TOL, axis=1)
+    fo = _fo_mask(pv, gv, pts)
 
     # CO: both orderings hold at every alpha; RED: the largest reversal of
     # the forward ordering over alpha in [1/2, 1)
@@ -526,20 +544,25 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
 
     nesting = int(np.sum(fo & ~co) + np.sum(co & ~cco))
 
-    labels = np.where(fo, "FO",
-                      np.where(co, "CO_only",
-                               np.where(red, "RED",
-                                        np.where(cco, "CCO_only", "OUTSIDE"))))
+    code = np.full(len(pts), 4, dtype=np.int8)
+    for k, mask in ((3, cco), (2, red), (1, co), (0, fo)):
+        code[mask] = k
+    labels = REGION_LABELS[code]
 
     oracle_dis = None
     if gamma_rational is not None:
         den, blocks = embedding_blocks(gamma_rational)
         phat = np.concatenate([np.full(bk, pv[i] / bk) for i, bk in enumerate(blocks)])
         cum_p = np.cumsum(np.sort(phat)[::-1])
-        cols = np.concatenate([np.repeat(pts[:, i:i + 1] / bk, bk, axis=1)
-                               for i, bk in enumerate(blocks)], axis=1)
-        cum_q = np.cumsum(-np.sort(-cols, axis=1), axis=1)
-        major = np.all(cum_p[None, :] >= cum_q - CMP_TOL, axis=1)
+        # column i of each point spread evenly over its block, sorted
+        # descending and summed in place
+        cols = pts[:, np.repeat(np.arange(3), blocks)]
+        cols /= np.repeat(blocks, blocks)
+        cols.sort(axis=1)
+        cum_q = cols[:, ::-1]
+        np.cumsum(cum_q, axis=1, out=cum_q)
+        cum_q -= CMP_TOL
+        major = np.all(cum_p[None, :] >= cum_q, axis=1)
         oracle_dis = int(np.sum(major != fo))
 
     counts = {"FO": int(fo.sum()), "CO": int(co.sum()), "CCO": int(cco.sum()),

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import divergences as dv
 from . import qmat
@@ -303,6 +302,8 @@ def fidelity_coherence_dual(rho, restarts: int = 10, seed: int = 0) -> Coherence
     margin 1 + 4 d eps kappa. `value` is thus an upper bound on the exact
     dual objective at `argmin_r`, the lifted R, and hence on F_coh(rho).
     """
+    from scipy import optimize     # loaded on first use: it is most of start-up
+
     r = asmat(rho)
     d = r.shape[0]
     eye = np.eye(d)

@@ -8,15 +8,17 @@ descent on a factor L with rho~ = L L^dag, multi-restart.
 
 The engine works on stacks of candidates (S, d, d). All starts descend
 together as one stack: each keeps its own step, stall count and
-backtracking, and stops on its own. The winner is the first start, in start
-order, that reaches the strict minimum. A root fidelity is one eigvalsh of
-an r x r matrix, r = rank(rho). The retraction into a purified ball mixes
-each candidate outside it toward rho until its margin, the root fidelity
-minus the value the radius requires, turns >= 0. Concavity of the root
-fidelity bounds the mixing weight by some hi, and a regula-falsi search over
-the 4096 cells of [0, hi] finds the crossing cell with about three margin
-evaluations per candidate, stacked into about two eigvalsh calls per
-projection (_BallProjector, _cell_search).
+backtracking, and stops on its own. Backtracking tries two steps, s and s/2,
+in one stacked projection, since most iterations reject the first and take
+the second. The winner is the first start, in start order, that reaches the
+strict minimum. A root fidelity is one eigvalsh of an r x r matrix,
+r = rank(rho). The retraction into a purified ball mixes each candidate
+outside it toward rho until its margin, the root fidelity minus the value
+the radius requires, turns >= 0. Concavity of the root fidelity bounds the
+mixing weight by some hi, and a regula-falsi search over the 4096 cells of
+[0, hi] finds the crossing cell with about three margin evaluations per
+candidate, stacked into about two eigvalsh calls per projection
+(_BallProjector, _cell_search).
 
 Values from the descent are certified only as one-sided heuristic bounds: any
 feasible point lower-bounds a supremum and upper-bounds an infimum.
@@ -453,6 +455,15 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int):
     Each row keeps its own step, stall count and up to 10 backtracking
     trials, retracted by project (which masks rows with no feasible point),
     and stops on its own. Returns the best Q and c each row saw.
+
+    The trials go in pairs: each of up to 5 rounds projects, and evaluates,
+    the candidates at step s and s/2 of every row still trying as one stack.
+    A row takes s if it descends, else s/2 if that descends and s/2 >= 1e-14,
+    and leaves the round with the step that halving one trial at a time
+    would leave: s, s/2, or s/4 when both fail. project and obj.q work row
+    by row, so every row sees the candidates and decisions of sequential
+    halving, bit for bit; the s/2 candidate of a row that takes s is
+    discarded.
     """
     c = c0.copy()
     n = len(c)
@@ -485,21 +496,29 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int):
         trying = np.ones(len(idx), dtype=bool)
         accepted = np.zeros(len(idx), dtype=bool)
         cand, q_new = c[idx], q[idx]
-        for _ in range(10):
+        for _ in range(5):
             j = np.flatnonzero(trying)
             if not j.size:
                 break
-            rows = idx[j]
-            ln = ell[rows] - step[rows, None, None] * direction[j]
+            rows, k = idx[j], len(j)
+            s = step[rows]
+            half = s * 0.5
+            ln = np.concatenate([ell[rows] - s[:, None, None] * direction[j],
+                                 ell[rows] - half[:, None, None] * direction[j]])
             pc, ok = project(ln @ dag(ln))
-            qt = np.full(len(j), np.inf)
+            qt = np.full(2 * k, np.inf)
             if ok.any():
                 qt[ok] = obj.q(pc[ok])
-            good = ok & (qt < q[rows] - 1e-16)
-            cand[j[good]], q_new[j[good]] = pc[good], qt[good]
-            accepted[j[good]] = True
-            step[rows[~good]] *= 0.5
-            trying[j] = ~good & (step[rows] >= 1e-14)
+            good = ok & (qt < np.tile(q[rows], 2) - 1e-16)
+            first = good[:k]
+            second = ~first & (half >= 1e-14) & good[k:]
+            hit = first | second
+            take = np.where(first, np.arange(k), np.arange(k, 2 * k))[hit]
+            cand[j[hit]], q_new[j[hit]] = pc[take], qt[take]
+            accepted[j[hit]] = True
+            # the step where halving one trial at a time would stop
+            step[rows] = np.where(first, s, np.where(second | (half < 1e-14), half, half * 0.5))
+            trying[j] = ~hit & (step[rows] >= 1e-14)
         live[idx[~accepted]] = False
         rows, q_old = idx[accepted], q[idx[accepted]]
         if not rows.size:

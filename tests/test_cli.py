@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import resmono
 from resmono import cli, qmat
 from resmono import constructions as cs
 from resmono.errors import SupportViolation
@@ -237,6 +241,13 @@ def run_cli_err(argv):
      "--sigma", "{not_state}"],
     ["divergence", "--rho", "{no_dim}", "--sigma", "{state2}"],
     ["divergence", "--kind", "sandwiched", "--alpha", "0.3", "--p", "0.5,0.5", "--q", "0.3,0.7"],
+    ["monotone", "--theory", "coherence", "--alpha", "0.5", "--p", "0,0"],
+    ["monotone", "--theory", "coherence", "--alpha", "2", "--p", "0,0"],
+    ["monotone", "--theory", "coherence", "--alpha", "inf", "--p", "0,0"],
+    ["pairs", "--which", "athermal", "--eps-param=-inf"],
+    ["pairs", "--which", "coherence", "--coh-eps", "inf"],
+    ["pairs", "--which", "coherence", "--coh-dim", "0", "--coh-eps=-inf"],
+    ["pairs", "--which", "coherence", "--mu", "nan"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -248,7 +259,9 @@ def run_cli_err(argv):
         "smooth_appendix_b_alpha_above_one", "classical_alpha_nan", "sandwiched_alpha_nan",
         "smooth_alpha_inf", "smooth_shapes", "smooth_rho_not_state", "smooth_rho_trace_two",
         "divergence_rho_not_state", "divergence_sigma_not_psd", "matrix_file_without_dim",
-        "sandwiched_vectors_alpha_below_half"])
+        "sandwiched_vectors_alpha_below_half", "monotone_zero_p_alpha_half",
+        "monotone_zero_p_alpha_two", "monotone_zero_p_alpha_inf", "pairs_eps_param_minus_inf",
+        "pairs_coh_eps_inf", "pairs_coh_dim_zero", "pairs_mu_nan"])
 def test_bad_input_exit_two(argv, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
@@ -266,8 +279,10 @@ def test_bad_input_exit_two(argv, matrix_files):
      "rho has shape (3, 3) but sigma has shape (2, 2)"),
     (["smooth", "--rho", "{not_state}", "--sigma", "{state3}"], "--rho "),
     (["divergence", "--rho", "{state3}", "--sigma", "{not_state}"], "--sigma "),
+    (["monotone", "--theory", "athermality", "--alpha", "2", "--p", "0,0", "--gamma", "0.5,0.5"],
+     "--p must have a positive sum"),
 ], ids=["sandwiched_alpha_nan", "smooth_alpha_inf", "smooth_alpha_minus_inf", "smooth_shapes",
-        "smooth_rho_not_state", "divergence_sigma_not_psd"])
+        "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p"])
 def test_bad_input_names_the_input(argv, named, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
@@ -332,6 +347,43 @@ def test_argv_fuzz_exit_codes_more_commands(command, x, y):
     _assert_clean_exit(FUZZ_ARGV[command](x, y))
 
 
+def _vector(n):
+    """Comma lists for an n-entry argument: n-entry distributions, or fuzzed
+    entries of any length up to n + 2."""
+    dist = st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1).map(
+        lambda v: v + [1.0 - sum(v)])
+    return st.one_of(dist, st.lists(FUZZ_FLOATS, min_size=1, max_size=n + 2)).map(
+        lambda v: ",".join(repr(x) for x in v))
+
+
+# sizes stay small: --grid <= 30, --theta-points <= 40, --D <= 100
+FUZZ_SIZED_ARGV = {
+    "regions": st.builds(
+        lambda p, g, n, k: ["regions", f"--p={p}", f"--gamma={g}", f"--grid={n}",
+                            f"--alpha-points={k}"],
+        _vector(3), _vector(3), st.integers(-2, 30), st.integers(-1, 8)),
+    "sweep": st.builds(
+        lambda g, level, n, k: ["sweep", f"--gamma={g}", f"--level={level!r}", f"--grid={n}",
+                                f"--theta-points={k}"],
+        _vector(2), FUZZ_FLOATS, st.integers(-2, 30), st.integers(-2, 40)),
+    "pairs": st.builds(
+        lambda which, big_d, e, dim, kappa, coh_dim, coh_e, mu: [
+            "pairs", f"--which={which}", f"--D={big_d}", f"--eps-param={e!r}", f"--dim={dim}",
+            f"--kappa={kappa!r}", f"--coh-dim={coh_dim}", f"--coh-eps={coh_e!r}",
+            *([] if mu is None else [f"--mu={mu!r}"])],
+        st.sampled_from(["athermal", "entanglement", "coherence", "all"]),
+        st.integers(-2, 100), FUZZ_FLOATS, st.integers(-1, 6), FUZZ_FLOATS,
+        st.integers(-1, 6), FUZZ_FLOATS, st.one_of(st.none(), FUZZ_FLOATS)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_SIZED_ARGV))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_exit_codes_sized_commands(command, data):
+    _assert_clean_exit(data.draw(FUZZ_SIZED_ARGV[command]))
+
+
 @pytest.mark.parametrize("vector_rho", [False, True], ids=["matrix_matrix", "vector_matrix"])
 def test_classical_divergence_rejects_matrix_files(tmp_path, vector_rho):
     ps = tmp_path / "sigma.json"
@@ -386,6 +438,19 @@ def test_sweep_extremum_at_pure_endpoint(argv):
     # min_F gives its ray angle from (0, g0 - g1), the convention of the level rows
     theta, x, z = (float(v) for v in extremes["min_F"][1:4])
     assert abs(theta - math.atan2(x, z - (g0 - g1))) <= 1e-9
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # CSV is far larger than a pipe buffer, so the writer meets the closed end
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(resmono.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "resmono.cli", *REGIONS_ARGV, "--grid", "100"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_determinism_byte_identical():

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from resmono import divergences as dv
 from resmono import monotones as mn
@@ -199,13 +200,13 @@ def test_primal_dual_agreement_random():
 def test_dual_gradient_matches_central_difference(monkeypatch):
     # the objective-and-gradient callable the dual hands to the optimizer
     seen = []
-    minimize = mn.optimize.minimize
+    minimize = optimize.minimize
 
     def spy(fun, x0, **kwargs):
         seen.append(fun)
         return minimize(fun, x0, **kwargs)
 
-    monkeypatch.setattr(mn.optimize, "minimize", spy)
+    monkeypatch.setattr(optimize, "minimize", spy)
     rng = np.random.default_rng(5)
     for d in (2, 3, 4):
         rho = qmat.random_state(d, d, seed=20 + d).data
@@ -247,13 +248,13 @@ def test_dual_value_bounds_float_reevaluation():
 def test_dual_runs_one_polish(monkeypatch):
     # the dual starts at the primal's transition operator: one L-BFGS-B run
     calls = []
-    minimize = mn.optimize.minimize
+    minimize = optimize.minimize
 
     def spy(fun, x0, **kwargs):
         calls.append(fun)
         return minimize(fun, x0, **kwargs)
 
-    monkeypatch.setattr(mn.optimize, "minimize", spy)
+    monkeypatch.setattr(optimize, "minimize", spy)
     for d in (2, 3, 4, 5):
         rho = qmat.random_state(d, d, seed=50 + d).data
         before = len(calls)
@@ -297,7 +298,7 @@ def test_transition_operator_alone_nearly_certifies(monkeypatch):
     # with the polish run replaced by its start, the certified value of the
     # transition operator is within 1e-4 of the primal on the criterion-03
     # states: the KKT argument for the warm start, checked numerically
-    monkeypatch.setattr(mn.optimize, "minimize",
+    monkeypatch.setattr(optimize, "minimize",
                         lambda fun, x0, **kwargs: SimpleNamespace(x=x0))
     worst = 0.0
     for d, count in {2: 13, 3: 13, 4: 12, 5: 12}.items():

@@ -249,6 +249,136 @@ class _CountingObjective:
         return self.obj.qg(c)
 
 
+def _sequential_descend(obj, c0, project, max_iters, exhausted):
+    """_descend with one projection per backtracking trial: the reference that
+    the paired trials must match bit for bit. exhausted[0] counts the rows
+    that fail all ten trials of an iteration."""
+    c = c0.copy()
+    n = len(c)
+    q = np.full(n, np.inf)
+    g = np.empty_like(c)
+    ell = np.empty_like(c)
+    best_q, best_c = np.full(n, np.inf), c.copy()
+    step = np.full(n, 0.1)
+    stall = np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+
+    def refresh(rows):
+        q[rows], g[rows] = obj.qg(c[rows])
+        w, u = np.linalg.eigh(qmat.hermitize(c[rows]))
+        ell[rows] = u * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+        better = rows[q[rows] < best_q[rows]]
+        best_q[better], best_c[better] = q[better], c[better]
+
+    if n:
+        refresh(np.arange(n))
+    for _ in range(max_iters):
+        idx = np.flatnonzero(live)
+        gl = g[idx] @ ell[idx]
+        gn = np.linalg.norm(gl, axis=(1, 2))
+        keep = gn >= sm.GRAD_TOL
+        live[idx[~keep]] = False
+        idx, direction = idx[keep], gl[keep] / gn[keep, None, None]
+        if not idx.size:
+            break
+        trying = np.ones(len(idx), dtype=bool)
+        accepted = np.zeros(len(idx), dtype=bool)
+        cand, q_new = c[idx], q[idx]
+        for _ in range(10):
+            j = np.flatnonzero(trying)
+            if not j.size:
+                break
+            rows = idx[j]
+            ln = ell[rows] - step[rows, None, None] * direction[j]
+            pc, ok = project(ln @ qmat.dag(ln))
+            qt = np.full(len(j), np.inf)
+            if ok.any():
+                qt[ok] = obj.q(pc[ok])
+            good = ok & (qt < q[rows] - 1e-16)
+            cand[j[good]], q_new[j[good]] = pc[good], qt[good]
+            accepted[j[good]] = True
+            step[rows[~good]] *= 0.5
+            trying[j] = ~good & (step[rows] >= 1e-14)
+        exhausted[0] += int(np.sum(trying))
+        live[idx[~accepted]] = False
+        rows, q_old = idx[accepted], q[idx[accepted]]
+        if not rows.size:
+            break
+        small = q_old - q_new[accepted] < 1e-15 * np.maximum(np.abs(q_old), 1.0)
+        stall[rows] = np.where(small, stall[rows] + 1, 0)
+        c[rows] = cand[accepted]
+        refresh(rows)
+        step[rows] = np.minimum(step[rows] * 1.4, 1.0)
+        live[rows[stall[rows] > 40]] = False
+    return best_q, best_c
+
+
+@pytest.mark.parametrize("smoothed, alpha, eps, ball, singular", [
+    (sm.smoothed_sandwiched, 0.7, 0.2, sm.Ball.SUBNORMALIZED_PURIFIED, False),
+    (sm.smoothed_sandwiched, 0.9, 0.05, sm.Ball.NORMALIZED_PURIFIED, False),
+    (sm.smoothed_sandwiched, 0.75, 0.2, sm.Ball.SUBNORMALIZED_TRACE, False),
+    (sm.smoothed_sandwiched, 2.0, 0.3, sm.Ball.SUBNORMALIZED_PURIFIED, False),
+    (sm.smoothed_sandwiched, 1.5, 0.2, sm.Ball.NORMALIZED_PURIFIED, True),
+    (sm.smoothed_sandwiched, 2.0, 0.3, sm.Ball.SUBNORMALIZED_TRACE, True),
+    (sm._smoothed_petz, 0.6, 0.2, sm.Ball.SUBNORMALIZED_PURIFIED, False),
+    (sm._smoothed_petz, 1.5, 0.1, sm.Ball.SUBNORMALIZED_TRACE, False),
+], ids=["sand_0.7_sub", "sand_0.9_norm", "sand_0.75_trace", "sand_2_sub_exhausts",
+        "sand_1.5_norm_singular_sigma", "sand_2_trace_singular_sigma", "petz_0.6_sub",
+        "petz_1.5_trace"])
+def test_speculative_backtracking_matches_sequential(monkeypatch, smoothed, alpha, eps, ball,
+                                                     singular):
+    # each round projects the trials at step s and s/2 in one stack; every
+    # projection and objective call works row by row, so each row must see
+    # the same candidates and decisions as with one trial per projection
+    rho = qmat.random_state(3, 3, seed=60).data
+    sig = qmat.random_state(3, 3, seed=62).data
+    if singular:
+        # rho mostly on supp(sigma), so that the compressed descent runs
+        sig = np.diag([0.6, 0.4, 0.0]).astype(complex)
+        rho = 0.97 * np.pad(qmat.random_state(2, 2, seed=63).data, ((0, 1), (0, 1))) + 0.03 * rho
+    descend, exhausted, runs = sm._descend, [0], []
+
+    def both(obj, c0, project, max_iters):
+        q, c = descend(obj, c0, project, max_iters)
+        q_ref, c_ref = _sequential_descend(obj, c0, project, max_iters, exhausted)
+        runs.append(np.array_equal(q, q_ref) and np.array_equal(c, c_ref))
+        return q, c
+
+    monkeypatch.setattr(sm, "_descend", both)
+    spec = sm.SmoothingSpec(epsilon=eps, alpha=alpha, ball=ball, restarts=3, max_iters=80, seed=5)
+    smoothed(rho, sig, spec)
+    assert runs == [True]
+    if alpha == 2.0 and ball is sm.Ball.SUBNORMALIZED_PURIFIED:
+        assert exhausted[0] > 0
+
+
+def test_backtracking_projection_count(monkeypatch):
+    # both trials of a round share one stacked projection, so most lockstep
+    # iterations, which reject step s and accept s/2, cost one projection;
+    # one projection per trial read 1.73 here
+    descend, projections, iterations = sm._descend, [0], [0]
+
+    def counting(obj, c0, project, max_iters):
+        counted = _CountingObjective(obj)
+
+        def proj(c):
+            projections[0] += 1
+            return project(c)
+
+        out = descend(counted, c0, proj, max_iters)
+        # every accepting iteration refreshes once, after the initial refresh
+        iterations[0] += len(counted.sizes) - 1
+        return out
+
+    monkeypatch.setattr(sm, "_descend", counting)
+    rho = qmat.random_state(4, 4, seed=1).data
+    sig = qmat.random_state(4, 4, seed=2).data
+    ch = qmat.random_channel(4, 4, 2, seed=3)
+    sm.dp_check(rho, sig, ch, 0.7, 0.2, restarts=2, max_iters=120, seed=0)
+    assert iterations[0] > 100
+    assert projections[0] / iterations[0] <= 1.3
+
+
 @pytest.mark.parametrize("objective", [sm._SandwichedObjective, sm._PetzObjective])
 def test_lockstep_descent_matches_each_start_alone(objective):
     rho = qmat.random_state(3, 2, seed=0).data
