@@ -306,6 +306,8 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
     if g.shape != (2, 2) or abs(g[0, 1]) > 1e-14 or abs(g[1, 0]) > 1e-14:
         raise InvalidGibbs("gamma must be a diagonal qubit state")
     g0, g1 = float(g[0, 0]), float(g[1, 1])
+    if not (math.isfinite(g0) and math.isfinite(g1)):
+        raise InvalidGibbs(f"gamma entries must be finite, got ({g0:g}, {g1:g})")
     if g0 <= 0 or g1 <= 0 or abs(g0 + g1 - 1.0) > qmat.TRACE_TOL:
         raise InvalidGibbs("gamma must be normalized with full rank")
     if g0 < g1:
@@ -429,6 +431,34 @@ def thermomajorizes(p, p_prime, gamma) -> tuple[bool, dict]:
     return ok, {"x": merged, "curve_p": cp, "curve_p_prime": cq}
 
 
+def _block_lorenz(v: np.ndarray, sizes: np.ndarray):
+    """The Lorenz curves of the block-uniform embeddings of the rows of v
+    (block i holds sizes[i] entries v_i / sizes[i]): the blocks in descending
+    order of their entries, as start positions, sizes and entries."""
+    order = np.argsort(-(v / sizes), axis=1, kind="stable")
+    bs = sizes[order]
+    return np.cumsum(bs, axis=1) - bs, bs, np.take_along_axis(v, order, axis=1) / bs
+
+
+def _lorenz_at(curve, x):
+    """The sum of the largest x[r] entries of row r of a _block_lorenz curve."""
+    starts, bs, entry = curve
+    return sum(np.clip(x - starts[:, k], 0.0, bs[:, k]) * entry[:, k]
+               for k in range(starts.shape[1]))
+
+
+def _renyi_rows(p: np.ndarray, q: np.ndarray, a: float, s: np.ndarray) -> np.ndarray:
+    """log2(s) / (a - 1) for the row sums s = sum_i p_i^a q_i^(1-a) over the
+    entries where p and q (which may broadcast) are both positive. Where a
+    row's powers under- or overflowed, so that s is non-finite or 0, that row
+    is summed again in the log domain, as divergences.classical_renyi does."""
+    out = np.log2(s) / (a - 1.0)
+    bad = ~((s > 0.0) & (s < math.inf))
+    if bad.any():
+        out[bad] = dv._renyi_log_domain(*(x[bad] for x in np.broadcast_arrays(p, q)), a)
+    return out
+
+
 def _classical_d_pair(gv: np.ndarray, pts: np.ndarray, a: float):
     """D_a(point||g) and D_a(g||point) for all grid points at one alpha.
 
@@ -446,15 +476,15 @@ def _classical_d_pair(gv: np.ndarray, pts: np.ndarray, a: float):
             bad = (pts <= 0).any(axis=1)
             vals = (gv[None, :] * np.log2(gv[None, :] / np.where(pts > 0, pts, 1.0))).sum(axis=1)
             return terms.sum(axis=1), np.where(bad, np.inf, vals)
-        s_pg = (pts ** a * gv[None, :] ** (1.0 - a)).sum(axis=1)
-        d_pg = np.log2(s_pg) / (a - 1.0)
+        # a zero entry of a point adds 0 ** a = 0 to the sum, unless
+        # gv ** (1 - a) overflows: the row is then NaN, and is summed again
+        d_pg = _renyi_rows(pts, gv[None, :], a, (pts ** a * gv[None, :] ** (1.0 - a)).sum(axis=1))
+        s_gp = np.where(pts > 0, gv[None, :] ** a * np.where(pts > 0, pts, 1.0) ** (1.0 - a),
+                        0.0).sum(axis=1)
+        d_gp = _renyi_rows(gv[None, :], pts, a, s_gp)
         if a > 1.0:
-            zero = (pts <= 0).any(axis=1)
-            s_gp = np.where(zero, np.inf,
-                            np.where(pts > 0, gv[None, :] ** a * np.where(pts > 0, pts, 1.0) ** (1.0 - a), 0.0).sum(axis=1))
-            return d_pg, np.where(np.isinf(s_gp), np.inf, np.log2(s_gp) / (a - 1.0))
-        s_gp = np.where(pts > 0, gv[None, :] ** a * np.where(pts > 0, pts, 1.0) ** (1.0 - a), 0.0).sum(axis=1)
-        return d_pg, np.log2(s_gp) / (a - 1.0)
+            d_gp[(pts <= 0).any(axis=1)] = np.inf
+        return d_pg, d_gp
 
 
 def _simplex_points(grid_n: int) -> np.ndarray:
@@ -551,18 +581,13 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
 
     oracle_dis = None
     if gamma_rational is not None:
-        den, blocks = embedding_blocks(gamma_rational)
-        phat = np.concatenate([np.full(bk, pv[i] / bk) for i, bk in enumerate(blocks)])
-        cum_p = np.cumsum(np.sort(phat)[::-1])
-        # column i of each point spread evenly over its block, sorted
-        # descending and summed in place
-        cols = pts[:, np.repeat(np.arange(3), blocks)]
-        cols /= np.repeat(blocks, blocks)
-        cols.sort(axis=1)
-        cum_q = cols[:, ::-1]
-        np.cumsum(cum_q, axis=1, out=cum_q)
-        cum_q -= CMP_TOL
-        major = np.all(cum_p[None, :] >= cum_q, axis=1)
+        sizes = np.asarray(embedding_blocks(gamma_rational)[1], dtype=float)
+        curve_p, curve_q = _block_lorenz(pv[None, :], sizes), _block_lorenz(pts, sizes)
+        # both curves are linear between the kinks of either, so the kinks
+        # and the end are the only positions to compare
+        major = np.ones(len(pts), dtype=bool)
+        for x in (*curve_p[0][0, 1:], *curve_q[0][:, 1:].T, sizes.sum()):
+            major &= _lorenz_at(curve_p, x) >= _lorenz_at(curve_q, x) - CMP_TOL
         oracle_dis = int(np.sum(major != fo))
 
     counts = {"FO": int(fo.sum()), "CO": int(co.sum()), "CCO": int(cco.sum()),

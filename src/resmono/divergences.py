@@ -195,19 +195,22 @@ def classical_renyi(p, q, alpha: float) -> float:
     return float(np.log2(s)) / (alpha - 1.0)
 
 
-def _renyi_log_domain(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """log2(sum p^alpha q^(1-alpha)) / (alpha - 1) for positive p and q, at an
-    |alpha| so large that the terms under- or overflow.
+def _renyi_log_domain(p: np.ndarray, q: np.ndarray, alpha: float):
+    """log2(sum p^alpha q^(1-alpha)) / (alpha - 1) for positive q, at an
+    |alpha| so large that the terms under- or overflow: a float for vectors,
+    an array for the rows of (n, d) arrays. An entry with p = 0 adds nothing.
 
     With k = alpha - 1 and u = (alpha / k) log2 p - log2 q, each term is 2^(k u),
     so the value is u* + log2(sum 2^(k (u - u*))) / k, where u* is the max of u
     for k > 0 and the min for k < 0: every exponent is <= 0 and the sum is in [1, n].
+    A p = 0 entry has k u = -inf, so it is never u* and its term is 0.
     """
     k = alpha - 1.0
-    u = (alpha / k) * np.log2(p) - np.log2(q)
-    top = float(u.max() if k > 0.0 else u.min())
-    with np.errstate(over="ignore"):     # k (u - u*) may round to -inf: a zero term
-        return top + float(np.log2(np.exp2(k * (u - top)).sum())) / k
+    with np.errstate(divide="ignore", over="ignore"):   # log2 0; k (u - u*) may round to -inf
+        u = (alpha / k) * np.log2(p) - np.log2(q)
+        top = u.max(axis=-1, keepdims=True) if k > 0.0 else u.min(axis=-1, keepdims=True)
+        out = top + np.log2(np.exp2(k * (u - top)).sum(axis=-1, keepdims=True)) / k
+    return float(out[0]) if out.ndim == 1 else out[:, 0]
 
 
 def classical_kl(p, q) -> float:

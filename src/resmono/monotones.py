@@ -11,6 +11,11 @@ whose optimizers cross-validate each other. The dual starts at the Uhlmann
 transition operator of the primal optimum, which the KKT conditions of the
 primal make dual-optimal, and one L-BFGS-B run polishes it before the value
 is certified.
+
+The coherence monotones and the primal are found by entropic mirror ascent
+over the simplex (_mirror_opt). All its starts ascend in lockstep as one
+(S, d) stack, so each iteration costs one stacked eigh for the gradient and
+one stacked eigvalsh per backtracking round, whatever the number of starts.
 """
 
 from __future__ import annotations
@@ -83,56 +88,76 @@ class PureBipartiteEntanglement(ResourceTheory):
 # ---------------------------------------------------------------------------
 
 def _mirror_opt(obj, grad, maximize, starts, iters):
+    """Entropic mirror ascent (Beck & Teboulle 2003) on the simplex, every
+    start at once: obj and grad map an (S, d) stack of distributions to S
+    values and (S, d) gradients.
+
+    Each row keeps its own step and stops on its own: when its gradient
+    scale falls below 1e-16, when 25 halvings of its step (or a step below
+    1e-14) find no ascent, when an accepted step gains less than
+    SIMPLEX_TOL, or after iters steps. One stacked grad call serves every
+    live row per iteration, and one stacked obj call every row still
+    halving per backtracking round, so each row evaluates exactly the trials
+    it would evaluate alone, and an overflow raised under np.errstate is
+    raised exactly as for that row alone. Returns the value and a copy of
+    the argument of the first start with the strictly greatest value (None
+    when no value beats -inf).
+    """
     sign = 1.0 if maximize else -1.0
-    best_val, best_q = -math.inf, None
-    for q0 in starts:
-        q = np.clip(np.asarray(q0, dtype=float), 1e-14, None)
-        q = q / q.sum()
-        val = sign * obj(q)
-        step = 0.5
-        for _ in range(iters):
-            g = sign * grad(q)
-            scale = np.max(np.abs(g))
-            if scale < 1e-16:
+    q = np.clip(np.asarray(starts, dtype=float), 1e-14, None)
+    q = q / q.sum(axis=1, keepdims=True)
+    val = sign * obj(q)
+    step = np.full(len(q), 0.5)
+    live = np.arange(len(q))
+    for _ in range(iters):
+        if not live.size:
+            break
+        g = sign * grad(q[live])
+        scale = np.max(np.abs(g), axis=1)
+        moving = ~(scale < 1e-16)
+        live, g, scale = live[moving], g[moving], scale[moving]
+        trying = np.ones(len(live), dtype=bool)
+        accepted = np.zeros(len(live), dtype=bool)
+        qn, vn = q[live], val[live]
+        for _ in range(25):
+            j = np.flatnonzero(trying)
+            if not j.size:
                 break
-            accepted = False
-            for _ in range(25):
-                qn = q * np.exp(step * g / scale)
-                qn = np.clip(qn, 1e-300, None)
-                qn = qn / qn.sum()
-                vn = sign * obj(qn)
-                if vn > val + 1e-18:
-                    accepted = True
-                    break
-                step *= 0.5
-                if step < 1e-14:
-                    break
-            if not accepted:
-                break
-            improved = vn - val
-            q, val = qn, vn
-            step = min(step * 1.5, 50.0)
-            if improved < SIMPLEX_TOL:
-                break
-        if val > best_val:
-            best_val, best_q = val, q
-    return sign * best_val, best_q
+            rows = live[j]
+            qt = q[rows] * np.exp(step[rows, None] * g[j] / scale[j, None])
+            qt = np.clip(qt, 1e-300, None)
+            qt = qt / qt.sum(axis=1, keepdims=True)
+            vt = sign * obj(qt)
+            hit = vt > val[rows] + 1e-18
+            qn[j[hit]], vn[j[hit]] = qt[hit], vt[hit]
+            accepted[j[hit]] = True
+            step[rows[~hit]] *= 0.5
+            trying[j] = ~hit & (step[rows] >= 1e-14)
+        live = live[accepted]
+        improved = vn[accepted] - val[live]
+        q[live], val[live] = qn[accepted], vn[accepted]
+        step[live] = np.minimum(step[live] * 1.5, 50.0)
+        live = live[~(improved < SIMPLEX_TOL)]
+    best = int(np.argmax(np.where(val > -math.inf, val, -math.inf)))
+    if not val[best] > -math.inf:
+        return sign * -math.inf, None
+    return sign * float(val[best]), q[best].copy()
 
 
 def _coherence_q_obj(rho: np.ndarray, alpha: float):
     """Objective Tr[M^alpha], M = diag(q)^c rho diag(q)^c, c = (1-a)/2a, and
-    its analytic gradient in q."""
+    its analytic gradient in q, for each row of an (S, d) stack q."""
     c = (1.0 - alpha) / (2.0 * alpha)
 
     def obj(q):
         s = q ** c
-        return qmat.trace_power((s[:, None] * rho) * s[None, :], alpha)
+        return qmat.trace_power((s[:, :, None] * rho) * s[:, None, :], alpha)
 
     def grad(q):
         s = q ** c
-        _, inner = qmat.trace_power_grad((s[:, None] * rho) * s[None, :], alpha)
-        rs = rho * s[None, :]
-        diag = np.einsum("ij,ji->i", rs, inner).real
+        _, inner = qmat.trace_power_grad((s[:, :, None] * rho) * s[:, None, :], alpha)
+        rs = rho * s[:, None, :]
+        diag = np.einsum("sij,sji->si", rs, inner).real
         return 2.0 * alpha * c * q ** (c - 1.0) * diag
 
     return obj, grad
@@ -140,24 +165,26 @@ def _coherence_q_obj(rho: np.ndarray, alpha: float):
 
 def _coherence_log_obj(rho: np.ndarray, alpha: float):
     """The divergence log2(Tr[M^alpha]) / (alpha - 1) itself, M as above, and
-    its gradient -(M^alpha)_ii / (q_i Tr[M^alpha] ln 2) in q. Both are summed
-    from the spectrum of M over its largest eigenvalue, so no power under- or
-    overflows at any order."""
+    its gradient -(M^alpha)_ii / (q_i Tr[M^alpha] ln 2) in q, for each row of
+    an (S, d) stack q. Both are summed from the spectrum of M over its
+    largest eigenvalue, so no power under- or overflows at any order."""
     c = (1.0 - alpha) / (2.0 * alpha)
 
     def spectrum(q):
         s = q ** c
-        w, u = np.linalg.eigh(hermitize((s[:, None] * rho) * s[None, :]))
+        w, u = np.linalg.eigh(hermitize((s[:, :, None] * rho) * s[:, None, :]))
         w = qmat.spectral_clip(w)
-        return w[-1], (w / w[-1]) ** alpha, u
+        return w[:, -1], (w / w[:, -1:]) ** alpha, u
 
     def obj(q):
         top, p, _ = spectrum(q)
-        return (alpha * math.log2(top) + math.log2(p.sum())) / (alpha - 1.0)
+        return np.array([alpha * math.log2(t) + math.log2(z)
+                         for t, z in zip(top, p.sum(axis=1))]) / (alpha - 1.0)
 
     def grad(q):
         _, p, u = spectrum(q)
-        return -((np.abs(u) ** 2) @ p) / (q * p.sum() * math.log(2.0))
+        return -((np.abs(u) ** 2) @ p[:, :, None])[:, :, 0] / (
+            q * p.sum(axis=1, keepdims=True) * math.log(2.0))
 
     return obj, grad
 

@@ -81,6 +81,19 @@ def test_regions_small_and_deterministic():
     assert "# oracle_disagreements=0" in out1
 
 
+def test_regions_where_powers_overflow():
+    # at alpha = 40, gamma_2^(1 - alpha) overflows: the grid points are summed
+    # in the log domain, so the point equal to p reads D = 0 against p
+    argv = ["regions", "--p=0.0,1.0,0.0", "--gamma=0.5,1e-08,0.49999998999999995",
+            "--grid=1", "--alpha-points=2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run_cli_err(argv)
+    assert code == 0, err
+    assert "# nesting_violations=0" in out
+    assert "0,1,0,FO,26.5754247591," in out
+
+
 def test_sweep_outputs_theta_row():
     code, out = run_cli(["sweep", "--gamma", "0.999,0.001", "--level", "2.0",
                          "--grid", "60", "--theta-points", "120"])
@@ -248,6 +261,8 @@ def run_cli_err(argv):
     ["pairs", "--which", "coherence", "--coh-eps", "inf"],
     ["pairs", "--which", "coherence", "--coh-dim", "0", "--coh-eps=-inf"],
     ["pairs", "--which", "coherence", "--mu", "nan"],
+    ["sweep", "--gamma", "nan,0.5", "--grid", "3", "--level", "0.5", "--theta-points", "1"],
+    ["sweep", "--gamma", "0.5,nan", "--grid", "3", "--level", "0.5", "--theta-points", "1"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -261,7 +276,8 @@ def run_cli_err(argv):
         "divergence_rho_not_state", "divergence_sigma_not_psd", "matrix_file_without_dim",
         "sandwiched_vectors_alpha_below_half", "monotone_zero_p_alpha_half",
         "monotone_zero_p_alpha_two", "monotone_zero_p_alpha_inf", "pairs_eps_param_minus_inf",
-        "pairs_coh_eps_inf", "pairs_coh_dim_zero", "pairs_mu_nan"])
+        "pairs_coh_eps_inf", "pairs_coh_dim_zero", "pairs_mu_nan", "sweep_gamma_nan_first",
+        "sweep_gamma_nan_second"])
 def test_bad_input_exit_two(argv, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2

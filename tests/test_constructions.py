@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -325,6 +326,53 @@ def test_thermomajorizes_matches_embedding_oracle():
         qhat = cs.embedding_channel(q, FIG1_GAMMA_FRAC).probs
         cum_q = np.cumsum(np.sort(qhat)[::-1])
         assert ok == bool(np.all(cum_p >= cum_q - 1e-12))
+
+
+def test_block_lorenz_matches_embedded_cumsum():
+    # the kink formula of the embedded Lorenz curve, at every position
+    rng = np.random.default_rng(4)
+    gamma = [Fraction(3, 17), Fraction(5, 17), Fraction(9, 17)]
+    den, blocks = cs.embedding_blocks(gamma)
+    pts = rng.dirichlet(np.ones(3), size=20)
+    pts[0] = [0.0, 1.0, 0.0]
+    curve = cs._block_lorenz(pts, np.asarray(blocks, dtype=float))
+    for r, pt in enumerate(pts):
+        full = np.cumsum(np.sort(cs.embedding_channel(pt, gamma).probs)[::-1])
+        at = np.arange(1, den + 1, dtype=float)
+        got = cs._lorenz_at(tuple(c[r:r + 1] for c in curve), at)
+        assert np.max(np.abs(got - full)) <= 1e-15
+
+
+def test_majorization_oracle_memory_at_a_large_denominator():
+    # the embedding has 20000 entries; the oracle compares the curves at
+    # their kinks only, never at all 20000 positions of 20301 points
+    gamma = [Fraction(1, 20000), Fraction(1, 20000), Fraction(19998, 20000)]
+    gv = np.array([float(g) for g in gamma])
+    tracemalloc.start()
+    try:
+        grid = cs.classify_simplex_regions(np.array([0.4, 0.4, 0.2]), gv, 200,
+                                           gamma_rational=gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert grid.oracle_disagreements == 0
+
+
+def test_classical_d_pair_where_powers_overflow():
+    # gamma_2^(1 - alpha) overflows at large alpha: rows are summed in the
+    # log domain and agree with classical_renyi, zero entries included
+    gv = np.array([0.5, 1e-8, 0.49999998999999995])
+    pts = cs._simplex_points(4)
+    for a in (0.5, 0.7, 2.0, 40.0, 400.0):
+        d_pg, d_gp = cs._classical_d_pair(gv, pts, a)
+        for pt, x, y in zip(pts, d_pg, d_gp):
+            with np.errstate(over="ignore", invalid="ignore"):   # classical_renyi's plain try
+                ref_pg, ref_gp = dv.classical_renyi(pt, gv, a), dv.classical_renyi(gv, pt, a)
+            assert math.isclose(x, ref_pg, rel_tol=1e-12, abs_tol=1e-12)
+            assert y == ref_gp if math.isinf(ref_gp) else math.isclose(y, ref_gp, rel_tol=1e-12)
+    d_pg, _ = cs._classical_d_pair(gv, np.eye(3)[[1]], 40.0)
+    assert abs(d_pg[0] - 26.5754247591) <= 1e-9
 
 
 def test_classify_regions_small_grid():

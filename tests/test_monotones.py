@@ -139,6 +139,160 @@ def test_alpha_range_check():
 
 
 # ---------------------------------------------------------------------------
+# simplex mirror ascent
+# ---------------------------------------------------------------------------
+
+def _mirror_one_start_at_a_time(obj, grad, maximize, starts, iters, exits):
+    """_mirror_opt with one start after another, each a stack of one row: the
+    reference that the lockstep ascent must match bit for bit. exits collects
+    why each start stopped."""
+    sign = 1.0 if maximize else -1.0
+    best_val, best_q = -math.inf, None
+    for q0 in starts:
+        q = np.clip(np.asarray(q0, dtype=float), 1e-14, None)
+        q = q / q.sum()
+        val = sign * obj(q[None])[0]
+        step = 0.5
+        reason = "iters"
+        for _ in range(iters):
+            g = sign * grad(q[None])[0]
+            scale = np.max(np.abs(g))
+            if scale < 1e-16:
+                reason = "gradient"
+                break
+            accepted = False
+            for _ in range(25):
+                qn = q * np.exp(step * g / scale)
+                qn = np.clip(qn, 1e-300, None)
+                qn = qn / qn.sum()
+                vn = sign * obj(qn[None])[0]
+                if vn > val + 1e-18:
+                    accepted = True
+                    break
+                step *= 0.5
+                if step < 1e-14:
+                    break
+            if not accepted:
+                reason = "failed"
+                break
+            improved = vn - val
+            q, val = qn, vn
+            step = min(step * 1.5, 50.0)
+            if improved < mn.SIMPLEX_TOL:
+                reason = "converged"
+                break
+        exits.append(reason)
+        if val > best_val:
+            best_val, best_q = val, q
+    return sign * best_val, best_q
+
+
+def _paired_mirror(monkeypatch):
+    """Route every _mirror_opt call through the lockstep ascent and the
+    reference, and log whether they agree (values, arguments and the number of
+    rows obj and grad see), the reference's exit reasons and grad calls, the
+    row count of each lockstep grad call, and overflows."""
+    lockstep = mn._mirror_opt
+    log = {"same": [], "exits": [], "ref_grads": [], "sizes": [], "overflows": 0}
+
+    def both(obj, grad, maximize, starts, iters):
+        ref_grads, ref_objs, sizes, objs = [0], [0], [], []
+
+        def ref_grad(q):
+            ref_grads[0] += 1
+            return grad(q)
+
+        def ref_obj(q):
+            ref_objs[0] += 1
+            return obj(q)
+
+        def sized_grad(q):
+            sizes.append(len(q))
+            return grad(q)
+
+        def sized_obj(q):
+            objs.append(len(q))
+            return obj(q)
+
+        try:
+            ref = _mirror_one_start_at_a_time(ref_obj, ref_grad, maximize, starts, iters,
+                                              log["exits"])
+        except FloatingPointError:
+            log["overflows"] += 1
+            with pytest.raises(FloatingPointError):
+                lockstep(obj, grad, maximize, starts, iters)
+            raise
+        out = lockstep(sized_obj, sized_grad, maximize, starts, iters)
+        log["same"].append(out[0] == ref[0] and np.array_equal(out[1], ref[1])
+                           and sum(sizes) == ref_grads[0] and sum(objs) == ref_objs[0])
+        log["ref_grads"].append(ref_grads[0])
+        log["sizes"].append(sizes)
+        return out
+
+    monkeypatch.setattr(mn, "_mirror_opt", both)
+    return log
+
+
+def _bowl_with_a_wrong_gradient():
+    # -|q - t|^2 / 1000 with its gradient, negated on rows with q_0 > 0.9: a
+    # start at t, or an ulp away, stops on the gradient scale (< 1e-16), and
+    # one near vertex 0 fails all 25 trials
+    t = np.array([0.5, 0.25, 0.25])
+
+    def obj(q):
+        return -((q - t) ** 2).sum(axis=1) / 1000.0
+
+    def grad(q):
+        return -2.0 * (q - t) / 1000.0 * np.where(q[:, :1] > 0.9, -1.0, 1.0)
+
+    starts = [t, np.full(3, 1.0 / 3.0), np.array([0.95, 0.03, 0.02]),
+              np.array([0.1, 0.1, 0.8]), np.array([0.2, 0.7, 0.1]),
+              np.array([0.5, np.nextafter(0.25, 1.0), 0.25])]
+    return obj, grad, starts
+
+
+@pytest.mark.parametrize("case", ["primal", "monotone", "log_domain", "exits"])
+def test_lockstep_mirror_matches_each_start_alone(case, monkeypatch):
+    log = _paired_mirror(monkeypatch)
+    if case == "primal":
+        for d in range(2, 7):
+            mn.fidelity_coherence_primal(qmat.random_state(d, d, seed=40 + d).data)
+    elif case == "monotone":
+        rho = qmat.random_state(3, 3, seed=11).data
+        for alpha in (0.6, 0.9, 1.5, 3.0):
+            mn.coherence_monotone(rho, alpha)
+    elif case == "log_domain":
+        # Tr[M^alpha] overflows in both, and both rerun in the log domain
+        mn.coherence_monotone(np.diag([0.7, 0.3]).astype(complex), 500.0)
+        assert log["overflows"] == 1
+    else:
+        obj, grad, starts = _bowl_with_a_wrong_gradient()
+        value, q = mn._mirror_opt(obj, grad, True, starts, 200)
+        assert value == 0.0 and np.array_equal(q, starts[0])
+        assert log["exits"][0] == log["exits"][-1] == "gradient"
+        assert {"failed", "converged"} <= set(log["exits"])
+        # on a tie the first start wins
+        value, q = mn._mirror_opt(lambda q: np.zeros(len(q)), np.zeros_like, True,
+                                  starts[::-1], 10)
+        assert value == 0.0 and np.array_equal(q, starts[-1])
+    assert log["same"] and all(log["same"])
+    for sizes in log["sizes"]:
+        assert np.all(np.diff(sizes) <= 0)
+    if case == "primal":
+        # the starts stop at different iterations, so the stack thins out
+        assert all(len(set(sizes)) >= 3 for sizes in log["sizes"][1:])
+
+
+def test_lockstep_mirror_grad_calls(monkeypatch):
+    # one stacked grad call serves every live start of an iteration
+    log = _paired_mirror(monkeypatch)
+    mn.fidelity_coherence_primal(qmat.random_state(4, 4, seed=3).data)
+    (sizes,), (ref_grads,) = log["sizes"], log["ref_grads"]
+    assert sizes[0] == 10
+    assert len(sizes) <= ref_grads / 3
+
+
+# ---------------------------------------------------------------------------
 # fidelity of coherence
 # ---------------------------------------------------------------------------
 
