@@ -95,8 +95,9 @@ def parse_vector(text, rationalize=None):
 
 
 def load_matrix(path, flag=None) -> np.ndarray:
-    """The matrix in a JSON file. A --rho file must hold a state (Hermitian,
-    PSD, trace in (0, 1]) and a --sigma file a Hermitian PSD matrix."""
+    """The matrix in a JSON file, which must be finite. A --rho or --state
+    file must hold a state (Hermitian, PSD, trace in (0, 1]) and a --sigma
+    file a Hermitian PSD matrix."""
     if not os.path.isfile(path):
         raise InputError(f"no such matrix file: {path}")
     with open(path) as fh:
@@ -105,8 +106,10 @@ def load_matrix(path, flag=None) -> np.ndarray:
         m = qmat.matrix_from_json(text)
     except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: not a JSON matrix with keys dim, re, im ({exc!r})") from None
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"{path}: the matrix has a NaN or infinite entry")
     try:
-        if flag == "rho":
+        if flag in ("rho", "state"):
             qmat.DensityOperator(m)
         elif flag == "sigma":
             qmat._check_psd(m)
@@ -176,11 +179,15 @@ def cmd_monotone(args):
         if not (isinstance(theory, mn.Athermality) and theory.classical):
             state = qmat.asmat(state)
     val = mn.monotone_alpha(state, theory, alpha, seed=args.seed)
-    # coherence away from alpha = 1 comes from mirror descent, not a closed form
-    exact = not isinstance(theory, mn.Coherence) or abs(alpha - 1.0) < dv.ALPHA_ONE_WINDOW
+    # coherence away from alpha = 1 comes from mirror descent, not a closed form,
+    # except at alpha = inf: the upper end of a certified primal-dual interval
+    if not isinstance(theory, mn.Coherence) or abs(alpha - 1.0) < dv.ALPHA_ONE_WINDOW:
+        label = "exact"
+    else:
+        label = "certified" if math.isinf(alpha) else "heuristic"
     emit(args, ["state_id", "theory", "alpha", "value_bits", "certified", "infinite"],
          [("state-0", args.theory, alpha, val if not math.isinf(val) else 0.0,
-           "exact" if exact else "heuristic", math.isinf(val))],
+           label, math.isinf(val))],
          {"command": "monotone"})
     return 0
 
@@ -236,7 +243,7 @@ def cmd_sweep(args):
     grid, rep = cs.bloch_sweep(gamma, args.grid, args.level, theta_points=args.theta_points)
     d = rep.diagnostics
     rows = [
-        ("max_F", d["theta_bloch"], float(rep.rho.data[0, 1].real * 2.0),
+        ("max_F", d["theta_rho"], float(rep.rho.data[0, 1].real * 2.0),
          float(rep.rho.data[0, 0].real * 2.0 - 1.0), args.level, math.sqrt(d["F_rho"])),
         ("min_F", d["theta_rho_prime"], float(rep.rho_prime.data[0, 1].real * 2.0),
          d["rho_prime_diag"][0] * 2.0 - 1.0, args.level, math.sqrt(d["F_rho_prime"])),

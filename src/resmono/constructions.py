@@ -299,8 +299,9 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
     its crossing. The largest and the smallest F are then refined by two
     golden-section searches of 60 steps that run in lockstep, one bisection
     of both probe rays per step, and the maximum is compared with the pure
-    endpoint at theta0. The minimizer's ray angle is its diagnostic
-    theta_rho_prime.
+    endpoint at theta0. The ray angles of the maximizer and the minimizer are
+    the diagnostics theta_rho and theta_rho_prime; theta_bloch is the
+    maximizer's Bloch polar angle.
     """
     g = np.asarray(qmat.asmat(gamma)).real
     if g.shape != (2, 2) or abs(g[0, 1]) > 1e-14 or abs(g[1, 0]) > 1e-14:
@@ -374,8 +375,8 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
         c1, f1 = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
         c2, f2 = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
     # the maximum can sit exactly at the pure endpoint theta0
-    mid = 0.5 * (a + b)
-    x, z, f = crossings(np.append(mid, theta0))
+    rays = np.append(0.5 * (a + b), theta0)
+    x, z, f = crossings(rays)
     hi_at = 2 if f[2] > f[0] else 0
     f_hi, pt_hi = float(f[hi_at]), (float(x[hi_at]), float(z[hi_at]))
     f_lo, pt_lo = float(f[1]), (float(x[1]), float(z[1]))
@@ -396,7 +397,7 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
             "theta_bloch": theta_bloch, "F_rho": f_hi, "F_rho_prime": f_lo,
             "F_gap": f_hi - f_lo, "rho_prime_diag": (float(rho_lo.data[0, 0].real),
                                                      float(rho_lo.data[1, 1].real)),
-            "theta_rho_prime": float(mid[1]),
+            "theta_rho": float(rays[hi_at]), "theta_rho_prime": float(rays[1]),
             "level_bits": d_target, "level_set": level_set,
         })
     return grid, report

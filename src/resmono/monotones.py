@@ -16,6 +16,13 @@ The coherence monotones and the primal are found by entropic mirror ascent
 over the simplex (_mirror_opt). All its starts ascend in lockstep as one
 (S, d) stack, so each iteration costs one stacked eigh for the gradient and
 one stacked eigvalsh per backtracking round, whatever the number of starts.
+
+The coherence robustness (the alpha = inf monotone) is the SDP min Tr D over
+diagonal D >= rho (Napoli et al., PRL 116, 150502 (2016)). A generalized
+power method (Journee, Nesterov, Richtarik & Sepulchre, JMLR 11, 517 (2010))
+ascends its unit-diagonal dual, and the result is a certified interval: the
+dual value bounds it from below by weak duality, and the diagonal read off the
+dual point, lifted to D >= rho, bounds it from above.
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ KAPPA_CAP = 1e8           # largest condition number of a reported dual R
 MONOTONE_ITERS = 2000     # mirror steps per start: a cap behind the SIMPLEX_TOL stop
 PRIMAL_ITERS = 3000       # longer cap for the primal, which the dual is checked against
 DUAL_FLOOR = 1e-10        # least eigenvalue of the dual's R: keeps it invertible
-FEASIBLE_ITERS = 400      # subgradient steps per start; each bisection step reruns them
-ROBUSTNESS_TOL = 1e-7     # bisection width in bits, below the 1e-6 the robustness tests allow
 EPS = float(np.finfo(float).eps)
 
 
@@ -216,7 +221,7 @@ def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = MONOT
         q = np.clip(np.diag(r).real, 0.0, None)
         return relative_entropy_coherence(r), q / max(q.sum(), 1e-300)
     if math.isinf(alpha):
-        return _robustness_coherence(r)
+        return _robustness_coherence(r)[:2]
     obj, grad = _coherence_q_obj(r, alpha)
     starts = _simplex_starts(r, restarts, seed)
     maximize = alpha < 1.0
@@ -260,7 +265,7 @@ def schmidt_vector(rho, d_a: int, d_b: int) -> np.ndarray:
 def monotone_alpha(rho, theory: ResourceTheory, alpha: float,
                    restarts: int = 10, seed: int = 0) -> float:
     """Resource monotone min over free sigma of the sandwiched divergence, bits."""
-    if not (alpha >= 0.5 or math.isinf(alpha)):
+    if not alpha >= 0.5:
         raise AlphaOutOfRange(f"monotone needs alpha in [1/2, inf], got {alpha}")
     if isinstance(theory, Athermality):
         if theory.classical and isinstance(rho, ClassicalDist):
@@ -390,65 +395,37 @@ def multiplicativity_check(rho, tau, restarts: int = 10, seed: int = 0) -> Multi
 # generalized robustness
 # ---------------------------------------------------------------------------
 
-def _feasible_dmax_coherence(c: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Is there a diagonal state q with diag(q) >= c? Subgradient descent on
-    min over the simplex of lambda_max(c - diag q). Returns the verdict and the
-    q with the least lambda_max found, which witnesses a True verdict."""
-    d = c.shape[0]
-    diag = np.clip(np.diag(c).real, 1e-12, None)
-    best, best_q = math.inf, None
-    for q0 in (np.full(d, 1.0 / d), diag / diag.sum()):
-        q = q0.copy()
-        for t in range(FEASIBLE_ITERS):
-            w, u = np.linalg.eigh(hermitize(c - np.diag(q)))
-            val = float(w[-1])
-            if val < best:
-                best, best_q = val, q
-            if best <= 0.0:
-                return True, best_q
-            g = -np.abs(u[:, -1]) ** 2
-            eta = 0.5 / math.sqrt(t + 1.0)
-            q = q * np.exp(-eta * g / max(np.max(np.abs(g)), 1e-15))
-            q = q / q.sum()
-        val = float(np.linalg.eigvalsh(hermitize(c - np.diag(q)))[-1])
-        if val < best:
-            best, best_q = val, q
-    return best <= 1e-9, best_q
-
-
 def _robustness_coherence(r: np.ndarray):
-    """log2 of the robustness with the diagonal state q that makes
-    2^value diag(q) >= rho.
+    """The certified interval [lo, hi] of log2 of the robustness, with the
+    diagonal state q that makes 2^hi diag(q) >= rho and the dual point W.
+    Returns (hi, q, lo, W).
 
-    A rank-one rho = psi psi^dag has the closed form log2 (sum_i |psi_i|)^2
-    with q_i = |psi_i| / sum_j |psi_j| (Napoli et al., PRL 116, 150502
-    (2016)); Cauchy-Schwarz makes that q certify it. Otherwise the value is
-    the certified upper end hi of a bisection on log2 of the robustness.
+    The robustness is the SDP min Tr D over diagonal D >= rho (Napoli et al.,
+    PRL 116, 150502 (2016)); its dual is max Tr[rho W] over W >= 0 with unit
+    diagonal. W = V V^dag with unit rows is ascended by the generalized power
+    method V <- rows-normalized(rho V) (Journee, Nesterov, Richtarik &
+    Sepulchre, JMLR 11, 517 (2010)) from V = I, until the gain reaches
+    rounding level; a zero row of rho V keeps its row of V. Weak duality
+    makes lo = log2 Tr[rho W] a lower bound. D = diag(Re(rho W)_ii), lifted by
+    its eigvalsh shortfall spread over the diagonal, is primal feasible up to
+    the rounding of one eigvalsh, so hi = log2 Tr D is an upper bound with
+    q = D / Tr D. At a fixed point the two meet.
     """
     d = r.shape[0]
-    w = np.linalg.eigvalsh(hermitize(r))
-    if np.count_nonzero(qmat.spectral_clip(w)) == 1:
-        k = int(np.argmax(np.diag(r).real))
-        a = np.abs(r[:, k]) / math.sqrt(r[k, k].real)     # |psi_i|, from rho's largest column
-        hi, q_hi = math.log2(a.sum() ** 2), a / a.sum()
-    else:
-        if _feasible_dmax_coherence(r)[0]:
-            return 0.0, np.clip(np.diag(r).real, 0, None)
-        lo, hi = 0.0, math.log2(max(d * float(w[-1]), 1.0)) + 1e-6
-        q_hi = np.full(d, 1.0 / d)     # 2^hi / d >= lambda_max(rho) at the starting hi
-        while hi - lo > ROBUSTNESS_TOL:
-            mid = 0.5 * (lo + hi)
-            ok, q = _feasible_dmax_coherence(2.0 ** (-mid) * r)
-            if ok:
-                hi, q_hi = mid, q
-            else:
-                lo = mid
-    # the bisection accepts lambda_max(c - diag q) <= 1e-9; spread any shortfall
-    # of 2^hi diag(q) - rho over the diagonal, so that the returned pair has
-    # 2^hi diag(q) >= rho up to the rounding of one eigvalsh
-    short = max(0.0, -float(np.linalg.eigvalsh(hermitize(2.0 ** hi * np.diag(q_hi) - r))[0]))
-    scale = 2.0 ** hi + d * short
-    return math.log2(scale), (2.0 ** hi * q_hi + short) / scale
+    v = np.eye(d, dtype=complex)
+    val = -math.inf
+    for _ in range(PRIMAL_ITERS):
+        rv = r @ v
+        diag = np.sum(rv * v.conj(), axis=1).real       # Re(rho W)_ii
+        prev, val = val, float(diag.sum())
+        if val - prev <= d * EPS * val:
+            break
+        norms = np.linalg.norm(rv, axis=1)
+        live = norms > 0.0
+        v[live] = rv[live] / norms[live, None]
+    short = max(0.0, -float(np.linalg.eigvalsh(hermitize(np.diag(diag) - r))[0]))
+    scale = val + d * short
+    return math.log2(scale), (diag + short) / scale, math.log2(val), v @ v.conj().T
 
 
 def generalized_robustness(rho, theory: ResourceTheory) -> float:

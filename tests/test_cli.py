@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -50,7 +51,7 @@ def test_divergence_matrix_files(tmp_path):
 
 
 def test_monotone_coherence():
-    for alpha, label in (("1", "exact"), ("0.5", "heuristic")):
+    for alpha, label in (("1", "exact"), ("0.5", "heuristic"), ("inf", "certified")):
         code, out = run_cli(["monotone", "--theory", "coherence", "--alpha", alpha,
                              "--p", "0.5,0.3,0.2"])
         assert code == 0
@@ -98,8 +99,24 @@ def test_sweep_outputs_theta_row():
     code, out = run_cli(["sweep", "--gamma", "0.999,0.001", "--level", "2.0",
                          "--grid", "60", "--theta-points", "120"])
     assert code == 0
-    row = [l for l in out.splitlines() if l.startswith("max_F")][0].split(",")
-    assert abs(float(row[1]) - math.pi / 3.38) <= 0.02
+    meta = dict(l[2:].split("=", 1) for l in out.splitlines() if l.startswith("# "))
+    assert abs(float(meta["theta_bloch"]) - math.pi / 3.38) <= 0.02
+
+
+@pytest.mark.parametrize("gamma, level", [("0.999,0.001", "2.0"), ("0.7,0.3", "1.7"),
+                                          ("0.9,0.1", "1.5")])
+def test_sweep_rows_give_their_ray_angle(gamma, level):
+    # every row, max_F included, gives the angle of the ray from (0, g0 - g1)
+    # through its own (x, z); at g0 = 0.7, level 1.7 the maximum is the pure endpoint
+    code, out = run_cli(["sweep", "--gamma", gamma, "--level", level, "--grid", "20",
+                         "--theta-points", "36"])
+    assert code == 0
+    g0, g1 = (float(v) for v in gamma.split(","))
+    rows = [l.split(",") for l in out.splitlines() if l.startswith(("max_F,", "min_F,", "level,"))]
+    assert [r[0] for r in rows[:2]] == ["max_F", "min_F"] and len(rows) == 38
+    for row in rows:
+        theta, x, z = (float(v) for v in row[1:4])
+        assert abs(theta - math.atan2(x, z - (g0 - g1))) <= 1e-9
 
 
 def test_pairs_json_format():
@@ -192,7 +209,8 @@ def matrix_files(tmp_path_factory):
             "state2b": qmat.random_state(2, 2, seed=1).data,
             "state3": qmat.random_state(3, 3, seed=0).data,
             "not_state": np.diag([1.5, -0.5, 0.0]).astype(complex),
-            "trace_two": np.diag([1.2, 0.8]).astype(complex)}
+            "trace_two": np.diag([1.2, 0.8]).astype(complex),
+            "nan_entry": np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)}
     root = tmp_path_factory.mktemp("matrices")
     paths = {}
     for name, m in mats.items():
@@ -263,6 +281,11 @@ def run_cli_err(argv):
     ["pairs", "--which", "coherence", "--mu", "nan"],
     ["sweep", "--gamma", "nan,0.5", "--grid", "3", "--level", "0.5", "--theta-points", "1"],
     ["sweep", "--gamma", "0.5,nan", "--grid", "3", "--level", "0.5", "--theta-points", "1"],
+    ["monotone", "--theory", "coherence", "--alpha=-inf", "--p", "0.6,0.4"],
+    ["monotone", "--theory", "coherence", "--alpha", "inf", "--state", "{not_state}"],
+    ["monotone", "--theory", "coherence", "--alpha", "inf", "--state", "{trace_two}"],
+    ["monotone", "--theory", "coherence", "--alpha", "inf", "--state", "{nan_entry}"],
+    ["divergence", "--rho", "{nan_entry}", "--sigma", "{state2}"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -277,7 +300,8 @@ def run_cli_err(argv):
         "sandwiched_vectors_alpha_below_half", "monotone_zero_p_alpha_half",
         "monotone_zero_p_alpha_two", "monotone_zero_p_alpha_inf", "pairs_eps_param_minus_inf",
         "pairs_coh_eps_inf", "pairs_coh_dim_zero", "pairs_mu_nan", "sweep_gamma_nan_first",
-        "sweep_gamma_nan_second"])
+        "sweep_gamma_nan_second", "monotone_alpha_minus_inf", "monotone_state_not_state",
+        "monotone_state_trace_two", "monotone_state_nan_entry", "divergence_rho_nan_entry"])
 def test_bad_input_exit_two(argv, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
@@ -361,6 +385,41 @@ FUZZ_ARGV = {
 @given(x=FUZZ_FLOATS, y=FUZZ_FLOATS)
 def test_argv_fuzz_exit_codes_more_commands(command, x, y):
     _assert_clean_exit(FUZZ_ARGV[command](x, y))
+
+
+@st.composite
+def _hermitian(draw):
+    """2x2 to 4x4 Hermitian matrices: states, scaled states (trace 0 to 3),
+    states with a zero row and column, indefinite ones, and states with a
+    NaN or infinite entry."""
+    n = draw(st.integers(2, 4))
+    block = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
+    g = np.reshape(draw(block), (n, n)) + 1j * np.reshape(draw(block), (n, n))
+    kind = draw(st.sampled_from(["state", "indefinite", "zero_row", "non_finite"]))
+    if kind == "indefinite":
+        return g + g.conj().T
+    m = g @ g.conj().T
+    m = m / max(np.trace(m).real, 1e-300) * draw(st.sampled_from([1.0, 1.0, 0.5, 3.0, 0.0]))
+    if kind == "zero_row":
+        k = draw(st.integers(0, n - 1))
+        m[k, :] = m[:, k] = 0.0
+    elif kind == "non_finite":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i, j] = m[j, i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return m
+
+
+@settings(max_examples=30, deadline=None)
+@example(m=np.diag([0.5, 0.0, 0.5]).astype(complex))
+@example(m=np.array([[0.5, 0.5], [0.5, math.nan]], dtype=complex))
+@given(m=_hermitian())
+def test_argv_fuzz_monotone_robustness_state_file(m):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "state.json")
+        with open(path, "w") as fh:
+            fh.write(qmat.matrix_to_json(m))
+        _assert_clean_exit(["monotone", "--theory", "coherence", "--alpha", "inf",
+                            "--state", path])
 
 
 def _vector(n):

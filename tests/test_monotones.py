@@ -534,6 +534,81 @@ def test_robustness_pure_states_with_zero_amplitudes():
         assert np.linalg.eigvalsh(2.0 ** val * np.diag(q) - rho)[0] >= -1e-12
 
 
+def test_robustness_mixed_state_the_bisection_overstated():
+    # a bisection over a 400-step subgradient feasibility test read 1.045130
+    # here: its test called feasible levels infeasible
+    rho = qmat.random_state(6, 6, seed=904).data
+    val, q = mn.coherence_monotone(rho, math.inf)
+    assert val <= 1.0434333
+    assert np.linalg.eigvalsh(2.0 ** val * np.diag(q) - rho)[0] >= -1e-12
+
+
+def test_robustness_interval_is_certified_on_mixed_states():
+    # W >= 0 with unit diagonal makes lo a lower bound by weak duality, and
+    # 2^hi diag(q) >= rho makes hi an upper bound; the two nearly meet
+    for d in range(2, 7):
+        for rank in range(2, d + 1):
+            for seed in (0, 1):
+                rho = qmat.random_state(d, rank, seed=500 + 10 * d + rank + 100 * seed).data
+                hi, q, lo, w = mn._robustness_coherence(rho)
+                assert np.linalg.eigvalsh(w)[0] >= -1e-12
+                assert np.max(np.abs(np.diag(w) - 1.0)) <= 1e-12
+                assert abs(2.0 ** lo - np.trace(rho @ w).real) <= 1e-12
+                assert lo <= hi <= lo + 1e-7
+                assert np.all(q >= 0.0) and abs(q.sum() - 1.0) <= 1e-12
+                assert np.linalg.eigvalsh(2.0 ** hi * np.diag(q) - rho)[0] >= -1e-12
+
+
+def _feasible_by_subgradient(c, iters):
+    # is there a diagonal state q with diag(q) >= c? subgradient descent on
+    # lambda_max(c - diag q) over the simplex, from two starts in lockstep
+    d = c.shape[0]
+    diag = np.clip(np.diag(c).real, 1e-12, None)
+    q = np.stack([np.full(d, 1.0 / d), diag / diag.sum()])
+    best, best_q = math.inf, None
+    for t in range(iters):
+        w, u = np.linalg.eigh(c - q[:, :, None] * np.eye(d))
+        k = int(np.argmin(w[:, -1]))
+        if w[k, -1] < best:
+            best, best_q = float(w[k, -1]), q[k]
+        if best <= 0.0:
+            return True, best_q
+        g = -np.abs(u[:, :, -1]) ** 2
+        q = q * np.exp(-0.5 / math.sqrt(t + 1.0) * g / np.max(np.abs(g), axis=1, keepdims=True))
+        q = q / q.sum(axis=1, keepdims=True)
+    return best <= 1e-9, best_q
+
+
+def _robustness_by_bisection(rho, iters=1600, width=1e-7):
+    # slow reference: bisection on log2 of the robustness with a subgradient
+    # feasibility test; returns the least level it certified feasible
+    lo, hi = 0.0, math.log2(rho.shape[0] * np.linalg.eigvalsh(rho)[-1]) + 1e-6
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        ok, q = _feasible_by_subgradient(2.0 ** (-mid) * rho, iters)
+        if ok:
+            assert np.linalg.eigvalsh(2.0 ** mid * np.diag(q) - rho)[0] >= -2.0 ** mid * 1e-9
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("d, rank, seed", [(4, 2, 66), (4, 3, 63), (4, 4, 65)])
+def test_robustness_not_above_a_slow_bisection(d, rank, seed):
+    rho = qmat.random_state(d, rank, seed=seed).data
+    val, _ = mn.coherence_monotone(rho, math.inf)
+    assert val <= _robustness_by_bisection(rho) + 1e-9
+
+
+@pytest.mark.parametrize("p", [(1.0, 0.0), (0.3, 0.0, 0.7), (0.0, 0.25, 0.0, 0.75),
+                               (0.2, 0.0, 0.0, 0.5, 0.3)])
+def test_robustness_incoherent_states_with_zero_entries(p):
+    val, q = mn.coherence_monotone(np.diag(p).astype(complex), math.inf)
+    assert val == 0.0
+    assert np.all(np.isfinite(q)) and np.allclose(q, p, rtol=0.0, atol=1e-15)
+
+
 def test_robustness_theory_unsupported():
     with pytest.raises(TheoryUnsupported):
         mn.generalized_robustness(plus_state(), mn.PureBipartiteEntanglement(2, 2))
