@@ -100,35 +100,17 @@ def catalyst_fidelity_bound_tight(rho, rho_prime, theory, eps: float) -> TightBo
 # error exponents
 # ---------------------------------------------------------------------------
 
-def _pair_d(rho, sigma) -> float:
-    if qmat.is_classical(rho) and qmat.is_classical(sigma):
-        return dv.classical_kl(rho, sigma)
-    return dv.umegaki(qmat.asmat(rho), qmat.asmat(sigma))
-
-
-def _pair_v(rho, sigma) -> float:
-    if qmat.is_classical(rho) and qmat.is_classical(sigma):
-        return dv.classical_rel_entropy_variance(rho, sigma)
-    return dv.rel_entropy_variance(qmat.asmat(rho), qmat.asmat(sigma))
-
-
-def _pair_renyi(rho, sigma, alpha: float) -> float:
-    if qmat.is_classical(rho) and qmat.is_classical(sigma):
-        return dv.classical_renyi(rho, sigma, alpha)
-    return dv.sandwiched(qmat.asmat(rho), qmat.asmat(sigma), alpha)
-
-
 def error_exponent_first_order(rho1, sigma1, rho2, sigma2) -> float:
     """First-order exponent gap^2 log2(e) / (8 (V1 + V2)), bits per copy."""
-    d1 = _pair_d(rho1, sigma1)
-    d2 = _pair_d(rho2, sigma2)
+    d1 = dv.umegaki(rho1, sigma1)
+    d2 = dv.umegaki(rho2, sigma2)
     if math.isinf(d1) or math.isinf(d2):
         raise SupportViolation("relative entropies must be finite")
     gap = d1 - d2
     if gap <= 0.0:
         return 0.0
-    v1 = _pair_v(rho1, sigma1)
-    v2 = _pair_v(rho2, sigma2)
+    v1 = dv.rel_entropy_variance(rho1, sigma1)
+    v2 = dv.rel_entropy_variance(rho2, sigma2)
     if v1 + v2 < 1e-12:
         raise DegenerateVariance("V1 + V2 vanishes")
     return gap * gap * LOG2E / (8.0 * (v1 + v2))
@@ -152,8 +134,8 @@ def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
 
     deltas1 = np.geomspace(1e-6, 0.5, EXPONENT_GRID)
     deltas2 = np.geomspace(1e-6, 5.0, EXPONENT_GRID)
-    d1_vals = np.array([_pair_renyi(rho1, sigma1, 1.0 - d) for d in deltas1])
-    d2_vals = np.array([_pair_renyi(rho2, sigma2, 1.0 + d) for d in deltas2])
+    d1_vals = np.array([dv.sandwiched(rho1, sigma1, 1.0 - d) for d in deltas1])
+    d2_vals = np.array([dv.sandwiched(rho2, sigma2, 1.0 + d) for d in deltas2])
     kappa = d1_vals[:, None] - d2_vals[None, :]
     denom = 1.0 / deltas1[:, None] + 2.0 / deltas2[None, :]
     vals = np.where(kappa > 0.0, kappa / denom, -np.inf)
@@ -164,7 +146,7 @@ def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
     def neg(xy):
         da = min(max(math.exp(xy[0]), 1e-9), 0.5)
         db = min(max(math.exp(xy[1]), 1e-9), 5.0)
-        k = _pair_renyi(rho1, sigma1, 1.0 - da) - _pair_renyi(rho2, sigma2, 1.0 + db)
+        k = dv.sandwiched(rho1, sigma1, 1.0 - da) - dv.sandwiched(rho2, sigma2, 1.0 + db)
         if k <= 0.0:
             return 0.0
         return -k / (1.0 / da + 2.0 / db)
@@ -178,7 +160,7 @@ def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
         gamma = -res.fun
     else:
         da, db, gamma = deltas1[i], deltas2[j], vals[i, j]
-    k = _pair_renyi(rho1, sigma1, 1.0 - da) - _pair_renyi(rho2, sigma2, 1.0 + db)
+    k = dv.sandwiched(rho1, sigma1, 1.0 - da) - dv.sandwiched(rho2, sigma2, 1.0 + db)
     return OptimizedExponent(gamma=float(gamma), delta1=float(da), delta2=float(db),
                              kappa=float(k))
 
@@ -328,9 +310,8 @@ def scaling_curve(rho, rho_prime, theory, eps_list, alpha: float) -> BoundCurve:
     lower = np.array([cb.d_alpha_nu_lb for cb in bounds])
     clamped = np.array([cb.clamped for cb in bounds], dtype=bool)
 
-    gibbs = theory.gibbs_probs if theory.classical else theory.gibbs
-    exp = error_exponent_optimized(rho, gibbs, rho_prime, gibbs)
-    d_rho_eta = _pair_d(rho, gibbs)
+    exp = error_exponent_optimized(rho, theory.gibbs, rho_prime, theory.gibbs)
+    d_rho_eta = dv.umegaki(rho, theory.gibbs)
     logs = np.log2(1.0 / eps_arr)
     n_used = np.ceil(logs / exp.gamma).astype(int)
     upper = 2.0 * n_used * d_rho_eta

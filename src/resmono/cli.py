@@ -137,19 +137,16 @@ def cmd_divergence(args):
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
     rho, _ = _state_arg(args, "rho", "p", args.rationalize)
     sig, _ = _state_arg(args, "sigma", "q", args.rationalize)
-    if args.kind == "sandwiched":
-        # vectors go to classical_renyi, which takes every order
-        dv._check_sandwiched_order(alpha)
-    if args.kind == "classical" or (rho.ndim == 1 and sig.ndim == 1 and args.kind == "sandwiched"):
+    if args.kind == "classical":
         val = dv.classical_renyi(rho, sig, alpha)
+    elif args.kind == "sandwiched":
+        val = dv.sandwiched(rho, sig, alpha)
     else:
-        r = np.diag(rho.astype(complex)) if rho.ndim == 1 else rho
-        s = np.diag(sig.astype(complex)) if sig.ndim == 1 else sig
-        fn = {"sandwiched": lambda: dv.sandwiched(r, s, alpha),
-              "petz": lambda: dv.petz(r, s, alpha),
-              "umegaki": lambda: dv.umegaki(r, s),
-              "dmax": lambda: dv.dmax(r, s)}[args.kind]
-        val = fn()
+        # vectors are embedded on the diagonal, which keeps these on the quantum path
+        r, s = qmat.asmat(rho), qmat.asmat(sig)
+        val = {"petz": lambda: dv.petz(r, s, alpha),
+               "umegaki": lambda: dv.umegaki(r, s),
+               "dmax": lambda: dv.dmax(r, s)}[args.kind]()
     emit(args, ["kind", "alpha", "bits", "infinite"],
          [(args.kind, alpha, val if not math.isinf(val) else 0.0, math.isinf(val))],
          {"command": "divergence"})
@@ -159,8 +156,6 @@ def cmd_divergence(args):
 def _theory_from_args(args):
     if args.theory == "athermality":
         g, _ = _state_arg(args, "gamma_file", "gamma", args.rationalize)
-        if g.ndim == 1:
-            return mn.Athermality(qmat.ClassicalDist(g))
         return mn.Athermality(g)
     if args.theory == "coherence":
         return mn.Coherence()
@@ -176,8 +171,6 @@ def cmd_monotone(args):
         if not state.sum() > 0.0:
             raise InputError(f"--p must have a positive sum, got {state.tolist()}")
         state = qmat.ClassicalDist(state)
-        if not (isinstance(theory, mn.Athermality) and theory.classical):
-            state = qmat.asmat(state)
     val = mn.monotone_alpha(state, theory, alpha, seed=args.seed)
     # coherence away from alpha = 1 comes from mirror descent, not a closed form,
     # except at alpha = inf: the upper end of a certified primal-dual interval
@@ -260,21 +253,17 @@ def cmd_sweep(args):
 
 
 def cmd_pairs(args):
-    rows = []
+    mu = args.mu if args.mu is not None else 1.0 - 1.0 / math.log2(3.0)
+    builders = {"athermal": lambda: cs.build_athermal_qutrit_pair(args.big_d, args.eps_param),
+                "entanglement": lambda: cs.build_entanglement_pair(args.dim, args.kappa),
+                "coherence": lambda: cs.build_coherence_pair(args.coh_dim, args.coh_eps, mu)}
     which = args.which
-    if which in ("athermal", "all"):
-        r = cs.build_athermal_qutrit_pair(args.big_d, args.eps_param)
-        rows.append(("athermal", r.d_gap, r.fid_gap,
-                     r.conditions_met["relent_ordered"], r.conditions_met["fidelity_reversed"]))
-    if which in ("entanglement", "all"):
-        r = cs.build_entanglement_pair(args.dim, args.kappa)
-        rows.append(("entanglement", r.d_gap, r.fid_gap,
-                     r.conditions_met["relent_ordered"], r.conditions_met["fidelity_reversed"]))
-    if which in ("coherence", "all"):
-        mu = args.mu if args.mu is not None else 1.0 - 1.0 / math.log2(3.0)
-        r = cs.build_coherence_pair(args.coh_dim, args.coh_eps, mu)
-        rows.append(("coherence", r.d_gap, r.fid_gap,
-                     r.conditions_met["relent_ordered"], r.conditions_met["fidelity_reversed"]))
+    rows = []
+    for name, build in builders.items():
+        if which in (name, "all"):
+            r = build()
+            rows.append((name, r.d_gap, r.fid_gap, r.conditions_met["relent_ordered"],
+                         r.conditions_met["fidelity_reversed"]))
     emit(args, ["pair", "D_gap_bits", "sqrtF_gap", "relent_ordered", "fidelity_reversed"],
          rows, {"command": "pairs", "which": which})
     return 0

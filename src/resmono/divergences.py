@@ -9,6 +9,12 @@ conditions of the piecewise definitions fail,
 At alpha = 1/2 the sandwiched divergence equals -log2 (Tr|sqrt rho sqrt sigma|)^2
 exactly (the plain root-fidelity, without the subnormalized deficit term, which
 is what the trace formula evaluates to for subnormalized arguments).
+
+sandwiched, umegaki, dmax and rel_entropy_variance decide classical versus
+quantum themselves: when both arguments are distributions (qmat.is_classical),
+they return the classical fast path below, which is the same divergence of the
+diagonal embeddings. A distribution paired with a matrix is embedded on the
+diagonal.
 """
 
 from __future__ import annotations
@@ -25,20 +31,14 @@ ALPHA_ONE_WINDOW = 1e-6  # |alpha - 1| below this dispatches to umegaki
 OVERLAP_TOL = 1e-12
 
 
-def _support_leak(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Mass of rho outside supp(sigma)."""
+def _mass(rho: np.ndarray, sigma: np.ndarray, on_support: bool) -> float:
+    """Mass of rho inside supp(sigma) (zero means orthogonal), or outside it."""
     w, u = eigh(sigma)
     keep = qmat.support_mask(w)
-    if keep.all():
+    if not on_support:
+        keep = ~keep
+    if not keep.any():
         return 0.0
-    uk = u[:, ~keep]
-    return float(np.trace(uk.conj().T @ rho @ uk).real)
-
-
-def _overlap(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Mass of rho inside supp(sigma); zero means orthogonal."""
-    w, u = eigh(sigma)
-    keep = qmat.support_mask(w)
     uk = u[:, keep]
     return float(np.trace(uk.conj().T @ rho @ uk).real)
 
@@ -51,18 +51,16 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
-def _check_sandwiched_order(alpha: float):
-    if not alpha >= 0.5:
-        raise AlphaOutOfRange(f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
-
-
 def sandwiched(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence log2 Tr(s^((1-a)/2a) r s^((1-a)/2a))^a / (a-1).
 
     alpha = 1 dispatches to the Umegaki relative entropy, alpha = inf to the
     max-divergence, alpha = 1/2 to -log2 of the plain fidelity.
     """
-    _check_sandwiched_order(alpha)
+    if not alpha >= 0.5:
+        raise AlphaOutOfRange(f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
+    if qmat.is_classical(rho) and qmat.is_classical(sigma):
+        return classical_renyi(rho, sigma, alpha)
     r, s = _pair(rho, sigma)
     if math.isinf(alpha):
         return dmax(r, s)
@@ -73,9 +71,9 @@ def sandwiched(rho, sigma, alpha: float) -> float:
         if rf <= 0.0:
             return math.inf
         return -2.0 * float(np.log2(rf))
-    if alpha > 1.0 and _support_leak(r, s) > OVERLAP_TOL:
+    if alpha > 1.0 and _mass(r, s, on_support=False) > OVERLAP_TOL:
         return math.inf
-    if alpha < 1.0 and _overlap(r, s) <= OVERLAP_TOL:
+    if alpha < 1.0 and _mass(r, s, on_support=True) <= OVERLAP_TOL:
         return math.inf
     a = mpow(s, (1.0 - alpha) / (2.0 * alpha))
     m = a @ r @ a
@@ -98,9 +96,9 @@ def petz(rho, sigma, alpha: float) -> float:
         if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
             return umegaki(r, s)
         raise AlphaOutOfRange(f"Petz divergence needs alpha in (0,1)U(1,2], got {alpha}")
-    if alpha > 1.0 and _support_leak(r, s) > OVERLAP_TOL:
+    if alpha > 1.0 and _mass(r, s, on_support=False) > OVERLAP_TOL:
         return math.inf
-    if alpha < 1.0 and _overlap(r, s) <= OVERLAP_TOL:
+    if alpha < 1.0 and _mass(r, s, on_support=True) <= OVERLAP_TOL:
         return math.inf
     q = float(np.trace(mpow(r, alpha) @ mpow(s, 1.0 - alpha)).real)
     if q <= 0.0:
@@ -110,8 +108,10 @@ def petz(rho, sigma, alpha: float) -> float:
 
 def umegaki(rho, sigma) -> float:
     """Umegaki relative entropy Tr rho (log2 rho - log2 sigma), +inf off support."""
+    if qmat.is_classical(rho) and qmat.is_classical(sigma):
+        return classical_kl(rho, sigma)
     r, s = _pair(rho, sigma)
-    if _support_leak(r, s) > OVERLAP_TOL:
+    if _mass(r, s, on_support=False) > OVERLAP_TOL:
         return math.inf
     wr, ur = eigh(r)
     wr = np.clip(wr, 0.0, None)
@@ -126,8 +126,10 @@ def umegaki(rho, sigma) -> float:
 
 def dmax(rho, sigma) -> float:
     """Max-divergence inf{lam : rho <= 2^lam sigma} in bits."""
+    if qmat.is_classical(rho) and qmat.is_classical(sigma):
+        return classical_renyi(rho, sigma, math.inf)
     r, s = _pair(rho, sigma)
-    if _support_leak(r, s) > OVERLAP_TOL:
+    if _mass(r, s, on_support=False) > OVERLAP_TOL:
         return math.inf
     x = mpow(s, -0.5)
     w = np.linalg.eigvalsh(hermitize(x @ r @ x))
@@ -149,8 +151,10 @@ def q_alpha(rho, sigma, alpha: float) -> float:
 
 def rel_entropy_variance(rho, sigma) -> float:
     """V = Tr[rho (log2 rho - log2 sigma)^2] - D(rho||sigma)^2, in bits^2."""
+    if qmat.is_classical(rho) and qmat.is_classical(sigma):
+        return classical_rel_entropy_variance(rho, sigma)
     r, s = asmat(rho), asmat(sigma)
-    if _support_leak(r, s) > OVERLAP_TOL:
+    if _mass(r, s, on_support=False) > OVERLAP_TOL:
         raise SupportViolation("supp(rho) not contained in supp(sigma)")
     ell = qmat.plog2m(r) - qmat.plog2m(s)
     d = umegaki(r, s)

@@ -57,23 +57,19 @@ class ResourceTheory:
 
 
 class Athermality(ResourceTheory):
-    """Free set = {gibbs}; gibbs must be full rank and normalized."""
+    """Free set = {gibbs}; gibbs must be full rank and normalized. It is kept
+    as a ClassicalDist when given as a distribution, else as a matrix."""
 
     def __init__(self, gibbs):
-        self.classical = qmat.is_classical(gibbs)
-        if self.classical:
-            probs = qmat.probs(gibbs)
-            if abs(probs.sum() - 1.0) > qmat.TRACE_TOL or np.min(probs) <= 0:
-                raise InvalidGibbs("Gibbs state must be normalized with full support")
-            self.gibbs_probs = probs
-            self.gibbs = np.diag(probs.astype(complex))
+        if qmat.is_classical(gibbs):
+            g = ClassicalDist(qmat.probs(gibbs))
+            total, least = g.probs.sum(), np.min(g.probs)
         else:
             g = asmat(gibbs)
-            w = np.linalg.eigvalsh(hermitize(g))
-            if abs(float(np.trace(g).real) - 1.0) > qmat.TRACE_TOL or w[0] <= 0:
-                raise InvalidGibbs("Gibbs state must be normalized with full support")
-            self.gibbs_probs = None
-            self.gibbs = g
+            total, least = float(np.trace(g).real), np.linalg.eigvalsh(hermitize(g))[0]
+        if abs(total - 1.0) > qmat.TRACE_TOL or least <= 0:
+            raise InvalidGibbs("Gibbs state must be normalized with full support")
+        self.gibbs = g
 
 
 class Coherence(ResourceTheory):
@@ -268,9 +264,7 @@ def monotone_alpha(rho, theory: ResourceTheory, alpha: float,
     if not alpha >= 0.5:
         raise AlphaOutOfRange(f"monotone needs alpha in [1/2, inf], got {alpha}")
     if isinstance(theory, Athermality):
-        if theory.classical and isinstance(rho, ClassicalDist):
-            return dv.classical_renyi(rho, theory.gibbs_probs, alpha)
-        return dv.sandwiched(asmat(rho), theory.gibbs, alpha)
+        return dv.sandwiched(rho, theory.gibbs, alpha)
     if isinstance(theory, Coherence):
         return coherence_monotone(rho, alpha, restarts=restarts, seed=seed)[0]
     if isinstance(theory, PureBipartiteEntanglement):
@@ -431,9 +425,7 @@ def _robustness_coherence(r: np.ndarray):
 def generalized_robustness(rho, theory: ResourceTheory) -> float:
     """Log-robustness log2(1 + R_g) = min over free sigma of D_max(rho||sigma)."""
     if isinstance(theory, Athermality):
-        if theory.classical and isinstance(rho, ClassicalDist):
-            return dv.classical_renyi(rho, theory.gibbs_probs, math.inf)
-        return dv.dmax(asmat(rho), theory.gibbs)
+        return dv.dmax(rho, theory.gibbs)
     if isinstance(theory, Coherence):
         return _robustness_coherence(asmat(rho))[0]
     raise TheoryUnsupported("generalized robustness supports athermality and coherence")

@@ -57,10 +57,12 @@ class DensityOperator:
 
 
 def _check_psd(data: np.ndarray):
-    """Raise unless data is a square Hermitian matrix with no eigenvalue below
-    -EVAL_NEG_TOL."""
+    """Raise unless data is a finite square Hermitian matrix with no eigenvalue
+    below -EVAL_NEG_TOL."""
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("matrix has a NaN or infinite entry")
     if np.max(np.abs(data - data.conj().T)) > HERM_TOL:
         raise NonHermitian("matrix is not Hermitian within 1e-12")
     w = np.linalg.eigvalsh(hermitize(data))
@@ -133,12 +135,14 @@ def is_classical(x) -> bool:
 
 
 def asmat(x) -> np.ndarray:
-    """Coerce a DensityOperator / ClassicalDist / array to a complex matrix."""
+    """Coerce a DensityOperator / ClassicalDist / array to a complex matrix;
+    a distribution is embedded on the diagonal."""
     if isinstance(x, DensityOperator):
         return x.data
     if isinstance(x, ClassicalDist):
         return np.diag(x.probs.astype(complex))
-    return np.asarray(x, dtype=complex)
+    m = np.asarray(x, dtype=complex)
+    return np.diag(m) if m.ndim == 1 else m
 
 
 def dag(m: np.ndarray) -> np.ndarray:

@@ -45,6 +45,9 @@ def test_sandwiched_classical_collapse():
 def test_sandwiched_alpha_out_of_range():
     with pytest.raises(AlphaOutOfRange):
         dv.sandwiched(RHO2, SIG2, 0.3)
+    # two distributions too, although the classical path takes every order
+    with pytest.raises(AlphaOutOfRange, match="alpha >= 1/2, got 0.3"):
+        dv.sandwiched(np.array([0.5, 0.5]), np.array([0.3, 0.7]), 0.3)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, -math.inf])
@@ -255,3 +258,26 @@ def test_sandwiched_huge_orders(alpha):
             k = mpmath.mpf(alpha)
             expected = float(1 + mpmath.log(lam[0] ** k + lam[1] ** k, 2) / (k - 1))
     assert abs(got - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("wrap", [np.array, qmat.ClassicalDist], ids=["array", "dist"])
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 2.0, math.inf])
+def test_quantum_entry_points_take_the_classical_path(wrap, alpha):
+    p, g = [2 / 3, 1 / 12, 1 / 4], [0.7, 0.2, 0.1]
+    assert dv.sandwiched(wrap(p), wrap(g), alpha) == dv.classical_renyi(p, g, alpha)
+    assert dv.umegaki(wrap(p), wrap(g)) == dv.classical_kl(p, g)
+    assert dv.dmax(wrap(p), wrap(g)) == dv.classical_renyi(p, g, math.inf)
+    assert (dv.rel_entropy_variance(wrap(p), wrap(g))
+            == dv.classical_rel_entropy_variance(p, g))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 2.0, math.inf])
+def test_vector_with_matrix_is_embedded_on_the_diagonal(alpha):
+    p = np.array([2 / 3, 1 / 12, 1 / 4])
+    sig = qmat.random_state(3, 3, seed=5).data
+    diag = np.diag(p.astype(complex))
+    for a, b, da, db in ((p, sig, diag, sig), (sig, p, sig, diag)):
+        assert dv.sandwiched(a, b, alpha) == dv.sandwiched(da, db, alpha)
+        assert dv.umegaki(a, b) == dv.umegaki(da, db)
+        assert dv.dmax(a, b) == dv.dmax(da, db)
+        assert dv.rel_entropy_variance(a, b) == dv.rel_entropy_variance(da, db)

@@ -59,6 +59,20 @@ def test_athermality_classical_fast_path():
                    - dv.classical_renyi(p.probs, gam.probs, alpha)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 2.0, math.inf])
+def test_athermality_on_plain_vectors_is_classical(alpha):
+    p, g = np.array([0.5, 0.3, 0.2]), np.array([0.7, 0.2, 0.1])
+    th = mn.Athermality(g)
+    assert isinstance(th.gibbs, qmat.ClassicalDist)
+    assert vars(th).keys() == {"gibbs"}
+    assert mn.monotone_alpha(p, th, alpha) == dv.classical_renyi(p, g, alpha)
+    assert mn.generalized_robustness(p, th) == dv.classical_renyi(p, g, math.inf)
+    # a matrix Gibbs state stays a matrix, and a distribution meets it on the diagonal
+    gm = np.diag(g.astype(complex))
+    assert mn.monotone_alpha(p, mn.Athermality(gm), alpha) == dv.sandwiched(
+        np.diag(p.astype(complex)), gm, alpha)
+
+
 def test_gibbs_validation():
     with pytest.raises(InvalidGibbs):
         mn.Athermality(np.diag([1.0, 0.0]))

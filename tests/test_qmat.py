@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,3 +244,17 @@ def test_density_operator_validation():
         qmat.DensityOperator(np.diag([0.9, 0.3]))   # trace > 1
     sub = qmat.DensityOperator(np.diag([0.4, 0.3]))  # subnormalized is fine
     assert abs(sub.trace - 0.7) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [
+    [[0.0, math.inf], [math.inf, 0.5]],
+    [[0.5, math.nan], [math.nan, 0.5]],
+    [[math.nan, 0.0], [0.0, 0.5]],
+], ids=["inf_off_diagonal", "nan_off_diagonal", "nan_diagonal"])
+def test_non_finite_matrices_rejected(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # rejected before any arithmetic warns
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            qmat.DensityOperator(np.array(m))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            qmat._check_psd(np.array(m, dtype=complex))

@@ -414,6 +414,23 @@ def test_petz_recovery_lifts_and_lets_faults_through():
         sm._petz_recovery(rho, ch, qmat.apply_channel(rho, ch), np.eye(2, dtype=complex))
 
 
+def test_petz_pullback_raises_the_left_side(monkeypatch):
+    # criterion-05 instance 43 (d = 3, alpha = 0.7, eps = 0.2) at that suite's budget:
+    # the seeded pullback is what lifts the left side
+    rho = qmat.random_state(3, 3, seed=10_043).data
+    sig = qmat.random_state(3, 3, seed=20_043).data
+    ch = qmat.random_channel(3, 3, 2, seed=30_043)
+
+    def check():
+        return sm.dp_check(rho, sig, ch, 0.7, 0.2, restarts=2, max_iters=120, seed=43)
+
+    with_pullback = check()
+    monkeypatch.setattr(sm, "_petz_recovery", lambda *args: None)
+    without = check()
+    assert with_pullback.lifted and not without.lifted
+    assert with_pullback.lhs >= without.lhs + 0.03
+
+
 def test_eps_monotonicity_with_warm_starts():
     rho = qmat.random_state(3, 1, seed=7).data
     sig = qmat.random_state(3, 3, seed=8).data
