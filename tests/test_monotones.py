@@ -51,26 +51,19 @@ def test_athermality_is_plain_divergence():
 
 
 def test_athermality_classical_fast_path():
-    gam = qmat.ClassicalDist(np.array([0.7, 0.3]))
-    p = qmat.ClassicalDist(np.array([0.9, 0.1]))
-    th = mn.Athermality(gam)
-    for alpha in (0.5, 1.0, 2.0):
-        assert abs(mn.monotone_alpha(p, th, alpha)
-                   - dv.classical_renyi(p.probs, gam.probs, alpha)) <= 1e-12
-
-
-@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 2.0, math.inf])
-def test_athermality_on_plain_vectors_is_classical(alpha):
-    p, g = np.array([0.5, 0.3, 0.2]), np.array([0.7, 0.2, 0.1])
-    th = mn.Athermality(g)
-    assert isinstance(th.gibbs, qmat.ClassicalDist)
-    assert vars(th).keys() == {"gibbs"}
-    assert mn.monotone_alpha(p, th, alpha) == dv.classical_renyi(p, g, alpha)
-    assert mn.generalized_robustness(p, th) == dv.classical_renyi(p, g, math.inf)
+    p, g = np.array([0.9, 0.1]), np.array([0.7, 0.3])
+    for wrap in (qmat.ClassicalDist, np.array):
+        th = mn.Athermality(wrap(g))
+        assert isinstance(th.gibbs, qmat.ClassicalDist)
+        assert vars(th).keys() == {"gibbs"}
+        for alpha in (0.5, 0.75, 1.0, 2.0, math.inf):
+            assert mn.monotone_alpha(wrap(p), th, alpha) == dv.classical_renyi(p, g, alpha)
+        assert mn.generalized_robustness(wrap(p), th) == dv.classical_renyi(p, g, math.inf)
     # a matrix Gibbs state stays a matrix, and a distribution meets it on the diagonal
     gm = np.diag(g.astype(complex))
-    assert mn.monotone_alpha(p, mn.Athermality(gm), alpha) == dv.sandwiched(
-        np.diag(p.astype(complex)), gm, alpha)
+    for alpha in (0.5, 2.0):
+        assert mn.monotone_alpha(p, mn.Athermality(gm), alpha) == dv.sandwiched(
+            np.diag(p.astype(complex)), gm, alpha)
 
 
 def test_gibbs_validation():
