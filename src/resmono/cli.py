@@ -233,7 +233,9 @@ def cmd_regions(args):
 def cmd_sweep(args):
     g, _ = parse_vector(args.gamma, args.rationalize)
     gamma = np.diag(g.astype(complex))
-    grid, rep = cs.bloch_sweep(gamma, args.grid, args.level, theta_points=args.theta_points)
+    # the band grid is library output only: the CLI prints the level set
+    cs.check_grid(args.grid)
+    rep = cs.bloch_level_set(gamma, args.level, theta_points=args.theta_points)
     d = rep.diagnostics
     rows = [
         ("max_F", d["theta_rho"], float(rep.rho.data[0, 1].real * 2.0),
@@ -397,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--gamma", required=True)
     p.add_argument("--level", type=float, default=2.0)
-    p.add_argument("--grid", type=int, default=400)
+    p.add_argument("--grid", type=int, default=400,
+                   help="side of the band grid of constructions.bloch_sweep; validated and "
+                        "echoed only, since the CLI prints the level set only")
     p.add_argument("--theta-points", dest="theta_points", type=int, default=720)
     p.set_defaults(fn=cmd_sweep)
 

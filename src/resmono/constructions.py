@@ -284,12 +284,39 @@ def _qubit_crossings(thetas, cz: float, g0: float, g1: float, d_target: float):
 BAND_LABELS = np.array(["outside"] + [f"D{b}" for b in range(10)])
 
 
+def check_grid(grid_n: int):
+    """Reject a grid size below 1, as bloch_sweep, classify_simplex_regions
+    and the CLI do."""
+    if grid_n < 1:
+        raise InputError(f"grid must be >= 1, got {grid_n}")
+
+
 def bloch_sweep(gamma, grid_n: int, d_target: float,
                 theta_points: int = 720) -> tuple[RegionGrid, HardPairReport]:
-    """Classify the x-z Bloch disk by free-energy bands and extract the
-    D = d_target level set with its fidelity extremes.
+    """Classify the x-z Bloch disk by free-energy bands on a grid_n x grid_n
+    grid, and extract the D = d_target level set with its fidelity extremes
+    (bloch_level_set)."""
+    check_grid(grid_n)
+    report = bloch_level_set(gamma, d_target, theta_points)
+    g0, g1 = np.asarray(qmat.asmat(gamma)).real.diagonal().tolist()
+    xs = np.linspace(-1.0, 1.0, grid_n)
+    zs = np.linspace(-1.0, 1.0, grid_n)
+    xg, zg = np.meshgrid(xs, zs, indexing="ij")
+    inside = xg * xg + zg * zg <= 1.0
+    d_vals = np.where(inside, _qubit_d_bits(xg, zg, g0, g1), np.nan)
+    f_vals = np.where(inside, _qubit_f(xg, zg, g0, g1), np.nan)
+    bands = np.where(inside, np.minimum(np.floor(d_vals), 9), -1)
+    grid = RegionGrid(points=np.column_stack([xg.ravel(), zg.ravel()]),
+                      labels=BAND_LABELS[bands.ravel().astype(int) + 1],
+                      d_bits=d_vals.ravel(), f_value=f_vals.ravel())
+    return grid, report
 
-    gamma = diag(g0, g1) with g0 >= g1 sits on the z axis at (0, g0 - g1),
+
+def bloch_level_set(gamma, d_target: float, theta_points: int = 720) -> HardPairReport:
+    """The D = d_target level set of the x-z Bloch disk and its fidelity
+    extremes, for gamma = diag(g0, g1).
+
+    gamma with g0 >= g1 sits on the z axis at (0, g0 - g1),
     the unique interior point of every sublevel set, and D rises along every
     ray from it. The level set is sampled at theta_points ray angles over
     [theta0, pi], where theta0 is the ray whose sphere endpoint has
@@ -317,21 +344,8 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
     if not 0.0 < d_target < d_max:
         raise InputError(f"level must lie in (0, log2(1/gamma_min)) = (0, {d_max:.6g}), "
                          f"got {d_target:g}")
-    if grid_n < 1:
-        raise InputError(f"grid must be >= 1, got {grid_n}")
     if theta_points < 1:
         raise InputError(f"theta_points must be >= 1, got {theta_points}")
-
-    xs = np.linspace(-1.0, 1.0, grid_n)
-    zs = np.linspace(-1.0, 1.0, grid_n)
-    xg, zg = np.meshgrid(xs, zs, indexing="ij")
-    inside = xg * xg + zg * zg <= 1.0
-    d_vals = np.where(inside, _qubit_d_bits(xg, zg, g0, g1), np.nan)
-    f_vals = np.where(inside, _qubit_f(xg, zg, g0, g1), np.nan)
-    bands = np.where(inside, np.minimum(np.floor(d_vals), 9), -1)
-    grid = RegionGrid(points=np.column_stack([xg.ravel(), zg.ravel()]),
-                      labels=BAND_LABELS[bands.ravel().astype(int) + 1],
-                      d_bits=d_vals.ravel(), f_value=f_vals.ravel())
 
     cz = g0 - g1
 
@@ -400,7 +414,7 @@ def bloch_sweep(gamma, grid_n: int, d_target: float,
             "theta_rho": float(rays[hi_at]), "theta_rho_prime": float(rays[1]),
             "level_bits": d_target, "level_set": level_set,
         })
-    return grid, report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +564,7 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     if not kl_at.size or not np.any((alpha_grid >= 0.5) & (alpha_grid < 1.0)):
         raise InputError("alpha_grid must hold alpha = 1 and at least one alpha in [1/2, 1), "
                          f"got {alpha_grid.size} values")
-    if grid_n < 1:
-        raise InputError(f"grid must be >= 1, got {grid_n}")
+    check_grid(grid_n)
 
     pts = _simplex_points(grid_n)
 

@@ -8,17 +8,18 @@ descent on a factor L with rho~ = L L^dag, multi-restart.
 
 The engine works on stacks of candidates (S, d, d). All starts descend
 together as one stack: each keeps its own step, stall count and
-backtracking, and stops on its own. Backtracking tries two steps, s and s/2,
-in one stacked projection, since most iterations reject the first and take
-the second. The winner is the first start, in start order, that reaches the
-strict minimum. A root fidelity is one eigvalsh of an r x r matrix,
-r = rank(rho). The retraction into a purified ball mixes each candidate
-outside it toward rho until its margin, the root fidelity minus the value
-the radius requires, turns >= 0. Concavity of the root fidelity bounds the
-mixing weight by some hi, and a regula-falsi search over the 4096 cells of
-[0, hi] finds the crossing cell with about three margin evaluations per
-candidate, stacked into about two eigvalsh calls per projection
-(_BallProjector, _cell_search).
+backtracking, and stops on its own, or once it can no longer overtake the
+leader, the first start with the least value so far (_descend). Backtracking
+tries two steps, s and s/2, in one stacked projection, since most iterations
+reject the first and take the second. The winner is the first start, in
+start order, that reaches the strict minimum. A root fidelity is one
+eigvalsh of an r x r matrix, r = rank(rho). The retraction into a purified
+ball mixes each candidate outside it toward rho until its margin, the root
+fidelity minus the value the radius requires, turns >= 0. Concavity of the
+root fidelity bounds the mixing weight by some hi, and a regula-falsi search
+over the 4096 cells of [0, hi] finds the crossing cell with about three
+margin evaluations per candidate, stacked into about two eigvalsh calls per
+projection (_BallProjector, _cell_search).
 
 Values from the descent are certified only as one-sided heuristic bounds: any
 feasible point lower-bounds a supremum and upper-bounds an infimum.
@@ -52,6 +53,7 @@ DIM_CAP = 16
 BALL_SLACK = 1e-8        # allowed feasibility slack on returned optimizers
 CELLS = 4096             # cells of the boundary search: the resolution of twelve halvings
 GRAD_TOL = 1e-9          # a start stops once its factor gradient norm falls below this
+WINDOW = 40              # iterations the stall rule and the leader rule look back over
 
 
 class Ball(enum.Enum):
@@ -231,6 +233,10 @@ class _BallProjector:
             return self._tdist(self._image(c), _trace(c))
         return np.sqrt(np.clip(1.0 - self.root_f(c) ** 2, 0.0, None))
 
+    def inside(self, c: np.ndarray):
+        """The ball test that a returned optimizer must pass, per candidate."""
+        return self.distance(c) <= self.eps + BALL_SLACK
+
     def project(self, c: np.ndarray):
         """Retract a stack (S, n, n); returns the retracted stack and a mask of
         the rows that have a feasible point."""
@@ -388,7 +394,7 @@ def _geodesic_optimum(rho, sigma, spec: SmoothingSpec):
         return None
     rho, sigma = _checked(rho, sigma, spec)
     omega, angle, ok = qmat.bures_geodesic(rho, sigma, math.asin(spec.epsilon))
-    if not ok or _BallProjector(rho, spec.epsilon, spec.ball).distance(omega) > spec.epsilon + BALL_SLACK:
+    if not ok or not _BallProjector(rho, spec.epsilon, spec.ball).inside(omega):
         return None
     return SmoothedValue(-2.0 * math.log2(math.cos(angle)), omega, Certified.ANALYTIC_EXACT)
 
@@ -429,9 +435,9 @@ def _optimize(rho, sigma, spec: SmoothingSpec, objective, warm_starts=None) -> S
     starts += _random_starts(rho_work, eps, spec.restarts, spec.seed)
 
     c0, ok = proj.project(np.array(starts, dtype=complex))
-    idx = np.flatnonzero(ok & (proj.distance(c0) <= eps + BALL_SLACK))
-    q, c = _descend(obj, c0[idx], proj.project, spec.max_iters)
-    inside = proj.distance(c) <= eps + BALL_SLACK
+    idx = np.flatnonzero(ok & proj.inside(c0))
+    q, c = _descend(obj, c0[idx], proj.project, spec.max_iters, proj.inside)
+    inside = proj.inside(c)
     # the first start reaching the strict minimum wins
     best_q, best_c = math.inf, None
     for i in range(len(idx)):
@@ -448,13 +454,27 @@ def _optimize(rho, sigma, spec: SmoothingSpec, objective, warm_starts=None) -> S
     return SmoothedValue(value, hermitize(best_c), cert)
 
 
-def _descend(obj, c0: np.ndarray, project, max_iters: int):
+def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
     """Backtracking gradient descent on factors L of c = L L^dag, for every
     row of the stack c0 at once.
 
     Each row keeps its own step, stall count and up to 10 backtracking
     trials, retracted by project (which masks rows with no feasible point),
     and stops on its own. Returns the best Q and c each row saw.
+
+    A row also stops once it cannot overtake the leader, racing style
+    (Maron & Moore 1997). From iteration WINDOW on, the leader is the first
+    row with the least best Q, live or stopped. A live row accepts a step or
+    stops in every iteration, so its last WINDOW gains are always at hand.
+    Every other live row whose best Q, less its largest recent gain times
+    the iterations left, still lies above the leader's stops there. The
+    leader and the rows that tie it never stop by this rule, and no row
+    stops unless the leader's best point passes inside, the ball test that
+    _optimize applies to the returned points. The extrapolation is a
+    heuristic, not a bound: the minimization is not convex for alpha < 1, so
+    a stopped row could in principle have overtaken later. The tests check
+    that the reported value and optimizer equal those of the loop without
+    this rule.
 
     The trials go in pairs: each of up to 5 rounds projects, and evaluates,
     the candidates at step s and s/2 of every row still trying as one stack.
@@ -473,6 +493,7 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int):
     best_q, best_c = np.full(n, np.inf), c.copy()
     step = np.full(n, 0.1)
     stall = np.zeros(n, dtype=np.int64)
+    gains = np.zeros((n, WINDOW))
     live = np.ones(n, dtype=bool)
 
     def refresh(rows):
@@ -484,8 +505,15 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int):
 
     if n:
         refresh(np.arange(n))
-    for _ in range(max_iters):
+    for it in range(max_iters):
         idx = np.flatnonzero(live)
+        if it >= WINDOW:
+            lead = int(np.argmin(best_q))
+            reach = best_q[idx] - (max_iters - it) * gains[idx].max(axis=1)
+            behind = idx[reach > best_q[lead]]
+            if behind.size and inside(best_c[lead:lead + 1])[0]:
+                live[behind] = False
+                idx = np.flatnonzero(live)
         gl = g[idx] @ ell[idx]
         gn = np.linalg.norm(gl, axis=(1, 2))
         keep = gn >= GRAD_TOL
@@ -523,12 +551,14 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int):
         rows, q_old = idx[accepted], q[idx[accepted]]
         if not rows.size:
             break
-        small = q_old - q_new[accepted] < 1e-15 * np.maximum(np.abs(q_old), 1.0)
+        gain = q_old - q_new[accepted]
+        gains[rows, it % WINDOW] = gain
+        small = gain < 1e-15 * np.maximum(np.abs(q_old), 1.0)
         stall[rows] = np.where(small, stall[rows] + 1, 0)
         c[rows] = cand[accepted]
         refresh(rows)
         step[rows] = np.minimum(step[rows] * 1.4, 1.0)
-        live[rows[stall[rows] > 40]] = False
+        live[rows[stall[rows] > WINDOW]] = False
     return best_q, best_c
 
 

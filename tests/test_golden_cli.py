@@ -32,6 +32,8 @@ GOLDEN = {
     "divergence_dmax": f"divergence --kind dmax --p {P} --q {Q}",
     "divergence_petz": f"divergence --kind petz --alpha 0.75 --p {P} --q {Q}",
     "monotone": "monotone --theory coherence --alpha 0.5 --p 0.5,0.3,0.2",
+    "smooth_appendix_b": "smooth --appendix-b",
+    "sweep": "sweep --gamma 0.999,0.001 --level 2.0 --grid 400",
     **{f"monotone_athermality_{a}": f"{ATHERMAL} {a}" for a in ("0.5", "1", "2", "inf")},
     "pairs": "pairs --which all",
     "bound": "bound --alpha 0.5 --eps-list 1e-1,1e-2,1e-3,1e-4,1e-5,1e-6",

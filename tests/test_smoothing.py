@@ -249,10 +249,83 @@ class _CountingObjective:
         return self.obj.qg(c)
 
 
-def _sequential_descend(obj, c0, project, max_iters, exhausted):
+def _sequential_descend(obj, c0, project, max_iters, inside, exhausted):
     """_descend with one projection per backtracking trial: the reference that
-    the paired trials must match bit for bit. exhausted[0] counts the rows
-    that fail all ten trials of an iteration."""
+    the paired trials must match bit for bit, leader rule included.
+    exhausted[0] counts the rows that fail all ten trials of an iteration."""
+    c = c0.copy()
+    n = len(c)
+    q = np.full(n, np.inf)
+    g = np.empty_like(c)
+    ell = np.empty_like(c)
+    best_q, best_c = np.full(n, np.inf), c.copy()
+    step = np.full(n, 0.1)
+    stall = np.zeros(n, dtype=np.int64)
+    gains = [[] for _ in range(n)]
+    live = np.ones(n, dtype=bool)
+
+    def refresh(rows):
+        q[rows], g[rows] = obj.qg(c[rows])
+        w, u = np.linalg.eigh(qmat.hermitize(c[rows]))
+        ell[rows] = u * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+        better = rows[q[rows] < best_q[rows]]
+        best_q[better], best_c[better] = q[better], c[better]
+
+    if n:
+        refresh(np.arange(n))
+    for it in range(max_iters):
+        if it >= sm.WINDOW:
+            lead = min(range(n), key=lambda r: best_q[r])
+            behind = [r for r in np.flatnonzero(live)
+                      if best_q[r] - (max_iters - it) * max(gains[r][-sm.WINDOW:]) > best_q[lead]]
+            if behind and inside(best_c[lead:lead + 1])[0]:
+                live[behind] = False
+        idx = np.flatnonzero(live)
+        gl = g[idx] @ ell[idx]
+        gn = np.linalg.norm(gl, axis=(1, 2))
+        keep = gn >= sm.GRAD_TOL
+        live[idx[~keep]] = False
+        idx, direction = idx[keep], gl[keep] / gn[keep, None, None]
+        if not idx.size:
+            break
+        trying = np.ones(len(idx), dtype=bool)
+        accepted = np.zeros(len(idx), dtype=bool)
+        cand, q_new = c[idx], q[idx]
+        for _ in range(10):
+            j = np.flatnonzero(trying)
+            if not j.size:
+                break
+            rows = idx[j]
+            ln = ell[rows] - step[rows, None, None] * direction[j]
+            pc, ok = project(ln @ qmat.dag(ln))
+            qt = np.full(len(j), np.inf)
+            if ok.any():
+                qt[ok] = obj.q(pc[ok])
+            good = ok & (qt < q[rows] - 1e-16)
+            cand[j[good]], q_new[j[good]] = pc[good], qt[good]
+            accepted[j[good]] = True
+            step[rows[~good]] *= 0.5
+            trying[j] = ~good & (step[rows] >= 1e-14)
+        exhausted[0] += int(np.sum(trying))
+        live[idx[~accepted]] = False
+        rows, q_old = idx[accepted], q[idx[accepted]]
+        if not rows.size:
+            break
+        for r, gain in zip(rows, q_old - q_new[accepted]):
+            gains[r].append(gain)
+        small = q_old - q_new[accepted] < 1e-15 * np.maximum(np.abs(q_old), 1.0)
+        stall[rows] = np.where(small, stall[rows] + 1, 0)
+        c[rows] = cand[accepted]
+        refresh(rows)
+        step[rows] = np.minimum(step[rows] * 1.4, 1.0)
+        live[rows[stall[rows] > 40]] = False
+    return best_q, best_c
+
+
+def _descend_unpruned(obj, c0, project, max_iters, inside=None):
+    """_descend without the leader rule: every row runs until its own
+    gradient, backtracking or stall rule stops it, independent of the other
+    rows. The reference whose reported values the leader rule must keep."""
     c = c0.copy()
     n = len(c)
     q = np.full(n, np.inf)
@@ -284,22 +357,28 @@ def _sequential_descend(obj, c0, project, max_iters, exhausted):
         trying = np.ones(len(idx), dtype=bool)
         accepted = np.zeros(len(idx), dtype=bool)
         cand, q_new = c[idx], q[idx]
-        for _ in range(10):
+        for _ in range(5):
             j = np.flatnonzero(trying)
             if not j.size:
                 break
-            rows = idx[j]
-            ln = ell[rows] - step[rows, None, None] * direction[j]
+            rows, k = idx[j], len(j)
+            s = step[rows]
+            half = s * 0.5
+            ln = np.concatenate([ell[rows] - s[:, None, None] * direction[j],
+                                 ell[rows] - half[:, None, None] * direction[j]])
             pc, ok = project(ln @ qmat.dag(ln))
-            qt = np.full(len(j), np.inf)
+            qt = np.full(2 * k, np.inf)
             if ok.any():
                 qt[ok] = obj.q(pc[ok])
-            good = ok & (qt < q[rows] - 1e-16)
-            cand[j[good]], q_new[j[good]] = pc[good], qt[good]
-            accepted[j[good]] = True
-            step[rows[~good]] *= 0.5
-            trying[j] = ~good & (step[rows] >= 1e-14)
-        exhausted[0] += int(np.sum(trying))
+            good = ok & (qt < np.tile(q[rows], 2) - 1e-16)
+            first = good[:k]
+            second = ~first & (half >= 1e-14) & good[k:]
+            hit = first | second
+            take = np.where(first, np.arange(k), np.arange(k, 2 * k))[hit]
+            cand[j[hit]], q_new[j[hit]] = pc[take], qt[take]
+            accepted[j[hit]] = True
+            step[rows] = np.where(first, s, np.where(second | (half < 1e-14), half, half * 0.5))
+            trying[j] = ~hit & (step[rows] >= 1e-14)
         live[idx[~accepted]] = False
         rows, q_old = idx[accepted], q[idx[accepted]]
         if not rows.size:
@@ -338,9 +417,9 @@ def test_speculative_backtracking_matches_sequential(monkeypatch, smoothed, alph
         rho = 0.97 * np.pad(qmat.random_state(2, 2, seed=63).data, ((0, 1), (0, 1))) + 0.03 * rho
     descend, exhausted, runs = sm._descend, [0], []
 
-    def both(obj, c0, project, max_iters):
-        q, c = descend(obj, c0, project, max_iters)
-        q_ref, c_ref = _sequential_descend(obj, c0, project, max_iters, exhausted)
+    def both(obj, c0, project, max_iters, inside):
+        q, c = descend(obj, c0, project, max_iters, inside)
+        q_ref, c_ref = _sequential_descend(obj, c0, project, max_iters, inside, exhausted)
         runs.append(np.array_equal(q, q_ref) and np.array_equal(c, c_ref))
         return q, c
 
@@ -358,14 +437,14 @@ def test_backtracking_projection_count(monkeypatch):
     # one projection per trial read 1.73 here
     descend, projections, iterations = sm._descend, [0], [0]
 
-    def counting(obj, c0, project, max_iters):
+    def counting(obj, c0, project, max_iters, inside):
         counted = _CountingObjective(obj)
 
         def proj(c):
             projections[0] += 1
             return project(c)
 
-        out = descend(counted, c0, proj, max_iters)
+        out = descend(counted, c0, proj, max_iters, inside)
         # every accepting iteration refreshes once, after the initial refresh
         iterations[0] += len(counted.sizes) - 1
         return out
@@ -389,14 +468,169 @@ def test_lockstep_descent_matches_each_start_alone(objective):
     c0, ok = proj.project(starts)
     assert ok.all()
     obj = _CountingObjective(objective(sig, 2.0))
-    q, c = sm._descend(obj, c0, proj.project, 200)
+    q, c = sm._descend(obj, c0, proj.project, 200, proj.inside)
     # the stack thinned out over several iterations, and some starts ran on
     # to the iteration cap
     assert len(set(obj.sizes)) >= 3 and obj.sizes[-1] >= 1
-    for i in range(len(c0)):
-        qi, ci = sm._descend(obj.obj, c0[i:i + 1], proj.project, 200)
-        assert abs(qi[0] - q[i]) <= 1e-12
-        assert np.max(np.abs(ci[0] - c[i])) <= 1e-12
+    # alone, a start is its own leader, so it runs as without the leader rule
+    alone = [sm._descend(obj.obj, c0[i:i + 1], proj.project, 200, proj.inside)
+             for i in range(len(c0))]
+    q_alone = np.array([qi[0] for qi, _ in alone])
+    win = int(np.argmin(q))
+    assert win == int(np.argmin(q_alone))
+    assert q[win] == q_alone[win] and np.array_equal(c[win], alone[win][1][0])
+    for i, (qi, ci) in enumerate(alone):
+        if abs(qi[0] - q[i]) <= 1e-12 and np.max(np.abs(ci[0] - c[i])) <= 1e-12:
+            continue
+        # a start the leader rule stopped: alone it ends above the winner,
+        # or ties it at a later index
+        assert qi[0] > q[win] or (qi[0] == q[win] and i > win)
+
+
+def _record_optimize(monkeypatch, descend, run):
+    """(value, optimizer) of every _optimize call that run() makes, with
+    _descend replaced by descend, and the rows each refresh evaluated."""
+    optimize, got, rows = sm._optimize, [], [0]
+
+    def counted(obj, c0, project, max_iters, inside):
+        counting = _CountingObjective(obj)
+        out = descend(counting, c0, project, max_iters, inside)
+        rows[0] += sum(counting.sizes)
+        return out
+
+    def recording(*args, **kwargs):
+        sv = optimize(*args, **kwargs)
+        got.append((sv.value, None if sv.optimizer is None else sv.optimizer.copy()))
+        return sv
+
+    with monkeypatch.context() as m:
+        m.setattr(sm, "_descend", counted)
+        m.setattr(sm, "_optimize", recording)
+        run()
+    return got, rows[0]
+
+
+def _assert_same_reports(monkeypatch, run):
+    pruned, work = _record_optimize(monkeypatch, sm._descend, run)
+    full, full_work = _record_optimize(monkeypatch, _descend_unpruned, run)
+    assert len(pruned) == len(full) > 0
+    for (v, opt), (v_ref, opt_ref) in zip(pruned, full):
+        assert v == v_ref
+        assert (opt is None and opt_ref is None) or np.array_equal(opt, opt_ref)
+    return work, full_work
+
+
+@pytest.mark.parametrize("alpha, eps", [(0.5, 0.1), (0.6, 0.3), (0.75, 0.1), (0.9, 0.05)])
+def test_leader_rule_keeps_appendix_b(monkeypatch, alpha, eps):
+    # the README budget: 8 random starts, 500 iterations
+    work, full_work = _assert_same_reports(
+        monkeypatch, lambda: sm.appendix_b_suite(alpha=alpha, epsilon=eps))
+    assert work < full_work
+
+
+def test_leader_rule_keeps_criterion_05(monkeypatch):
+    # twelve criterion-05 instances at alpha 0.7 and 0.9, both sides
+    def run():
+        for i in (1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17):
+            d = 2 + i % 3
+            rho = qmat.random_state(d, d, seed=10_000 + i).data
+            sig = qmat.random_state(d, d, seed=20_000 + i).data
+            ch = qmat.random_channel(d, d, 2, seed=30_000 + i)
+            sm.dp_check(rho, sig, ch, (0.5, 0.7, 0.9)[i % 3], (0.05, 0.2)[i % 2],
+                        restarts=2, max_iters=120, seed=i)
+
+    work, full_work = _assert_same_reports(monkeypatch, run)
+    assert work < full_work
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("ball, singular", [
+    (sm.Ball.SUBNORMALIZED_PURIFIED, True), (sm.Ball.NORMALIZED_PURIFIED, True),
+    (sm.Ball.SUBNORMALIZED_TRACE, False), (sm.Ball.SUBNORMALIZED_TRACE, True),
+], ids=["sub_singular", "norm_singular", "trace", "trace_singular"])
+def test_leader_rule_keeps_alpha_above_one(monkeypatch, alpha, ball, singular):
+    rho = qmat.random_state(3, 3, seed=60).data
+    sig = qmat.random_state(3, 3, seed=62).data
+    if singular:
+        sig = np.diag([0.6, 0.4, 0.0]).astype(complex)
+        rho = 0.97 * np.pad(qmat.random_state(2, 2, seed=63).data, ((0, 1), (0, 1))) + 0.03 * rho
+    spec = sm.SmoothingSpec(epsilon=0.2, alpha=alpha, ball=ball, restarts=6, max_iters=400, seed=5)
+    _assert_same_reports(monkeypatch, lambda: sm.smoothed_sandwiched(rho, sig, spec))
+
+
+class _Ramps:
+    """Q = h(x) on 1 x 1 candidates c = x^2: h = -x down to its minimum -100
+    at x = 100, x - 200 up to x = 300, and -60 + (x - 300) / 1000 from there
+    on. Each accepted step moves x by the step, at most 1."""
+
+    def q(self, c):
+        x = np.sqrt(c[:, 0, 0].real)
+        return np.where(x <= 100, -x, np.where(x < 300, x - 200, -60 + (x - 300) / 1000))
+
+    def qg(self, c):
+        x = np.sqrt(c[:, 0, 0].real)
+        slope = np.where(x <= 100, -1.0, np.where(x < 300, 1.0, 1e-3))
+        return self.q(c), (slope / (2.0 * x))[:, None, None].astype(complex)
+
+
+def test_leader_rule_keeps_the_leader_and_a_start_that_overtakes_later():
+    # row 0 sits at the bottom of the x >= 300 ramp, -60, and stops at once.
+    # Row 1 climbs down from x = 1 by up to 1 per iteration: at the first
+    # check, iteration WINDOW, it reads about -37, behind the leader, but its
+    # gains over the remaining budget could still overtake it. It does, leads
+    # from about iteration 63 on, and reaches -100. Rows 2 and 3 slide down
+    # the x >= 300 ramp by at most 1e-3 per iteration. Row 2, from -59.3,
+    # cannot reach -60 and stops at iteration WINDOW; row 3, from -59.9,
+    # could, until row 1 takes the lead while still live.
+    c0 = np.array([[[300.0 ** 2]], [[1.0]], [[1000.0 ** 2]], [[400.0 ** 2]]], dtype=complex)
+
+    def project(c):
+        return c, np.ones(len(c), dtype=bool)
+
+    def inside(c):
+        return np.ones(len(c), dtype=bool)
+
+    obj = _CountingObjective(_Ramps())
+    q, c = sm._descend(obj, c0, project, 200, inside)
+    q_ref, c_ref = _descend_unpruned(_Ramps(), c0, project, 200)
+    assert q_ref[1] == -100.0 and int(np.argmin(q_ref)) == 1
+    assert int(np.argmin(q)) == 1
+    assert np.array_equal(q[:2], q_ref[:2]) and np.array_equal(c[:2], c_ref[:2])
+    # row 2 stopped after exactly WINDOW accepted steps
+    q_window, _ = _descend_unpruned(_Ramps(), c0[2:3], project, sm.WINDOW)
+    assert q[2] == q_window[0] > q_ref[2] > -60.0
+    assert obj.sizes[sm.WINDOW] == 3 and obj.sizes[sm.WINDOW + 1] == 2
+    # row 3 stopped once row 1 led, and row 1 ran on alone
+    assert q[3] > q_ref[3] == -60.0
+    assert obj.sizes.index(1) + 20 < len(obj.sizes)
+    # no start stops against a leader whose best point fails the ball test:
+    # with row 0 outside, row 2 runs on until row 1 leads
+    q_out, _ = sm._descend(_Ramps(), c0, project, 200, lambda c: c[:, 0, 0].real < 300.0 ** 2)
+    assert q[2] > q_out[2] > q_ref[2]
+
+
+@pytest.mark.parametrize("objective", [sm._SandwichedObjective, sm._PetzObjective])
+def test_leader_rule_thins_the_appendix_b_stack(objective):
+    # the appendix-B normalized 3-d stack: a structured start leads from the
+    # first iteration and the random starts never catch up
+    proj = sm._BallProjector(RHO3, 0.1, sm.Ball.NORMALIZED_PURIFIED)
+    c0, ok = proj.project(np.array(sm._structured_starts(RHO3, SIG3, 0.1, proj.ball)
+                                   + sm._random_starts(RHO3, 0.1, 8, seed=0)))
+    assert ok.all()
+    pruned, full = _CountingObjective(objective(SIG3, 0.75)), _CountingObjective(objective(SIG3, 0.75))
+    q, c = sm._descend(pruned, c0, proj.project, 500, proj.inside)
+    q_ref, c_ref = _descend_unpruned(full, c0, proj.project, 500)
+    lead = int(np.argmin(q_ref))
+    assert int(np.argmin(q)) == lead
+    assert q[lead] == q_ref[lead] and np.array_equal(c[lead], c_ref[lead])
+    # no start stops by the rule before a full window of gains
+    assert pruned.sizes[:sm.WINDOW + 1] == full.sizes[:sm.WINDOW + 1]
+    # after it, starts stop before the cap, and each stopped start had not
+    # yet reached the leader
+    assert sum(pruned.sizes) < sum(full.sizes) and len(full.sizes) > sm.WINDOW + 1
+    stopped = np.flatnonzero(q != q_ref)
+    assert stopped.size >= 3 and lead not in stopped
+    assert np.all(q[stopped] > q[lead]) and np.all(q_ref[stopped] > q_ref[lead])
 
 
 def test_petz_recovery_lifts_and_lets_faults_through():
