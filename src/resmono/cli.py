@@ -233,7 +233,8 @@ def cmd_regions(args):
 def cmd_sweep(args):
     g, _ = parse_vector(args.gamma, args.rationalize)
     gamma = np.diag(g.astype(complex))
-    # the band grid is library output only: the CLI prints the level set
+    # --grid no longer sizes anything: it is validated and echoed so that
+    # existing command lines run unchanged
     cs.check_grid(args.grid)
     rep = cs.bloch_level_set(gamma, args.level, theta_points=args.theta_points)
     d = rep.diagnostics
@@ -400,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True)
     p.add_argument("--level", type=float, default=2.0)
     p.add_argument("--grid", type=int, default=400,
-                   help="side of the band grid of constructions.bloch_sweep; validated and "
-                        "echoed only, since the CLI prints the level set only")
+                   help="validated (>= 1) and echoed in the meta lines only; kept so that "
+                        "existing command lines run unchanged")
     p.add_argument("--theta-points", dest="theta_points", type=int, default=720)
     p.set_defaults(fn=cmd_sweep)
 

@@ -49,14 +49,14 @@ class RegionGrid:
     labels: np.ndarray
     d_bits: np.ndarray
     f_value: np.ndarray
-    alpha_grid: np.ndarray | None = None
-    red_margin: np.ndarray | None = None
-    nesting_violations: int = 0
-    oracle_disagreements: int | None = None
-    counts: dict = field(default_factory=dict)
-    fo_mask: np.ndarray | None = None
-    co_mask: np.ndarray | None = None
-    cco_mask: np.ndarray | None = None
+    alpha_grid: np.ndarray
+    red_margin: np.ndarray
+    nesting_violations: int
+    oracle_disagreements: int | None    # None without a rational gamma
+    counts: dict
+    fo_mask: np.ndarray
+    co_mask: np.ndarray
+    cco_mask: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def build_coherence_pair(d: int, eps_param: float, mu: float) -> HardPairReport:
 
 
 # ---------------------------------------------------------------------------
-# qubit Bloch sweep
+# qubit Bloch level set
 # ---------------------------------------------------------------------------
 
 def _qubit_d_bits(x, z, g0: float, g1: float):
@@ -281,35 +281,11 @@ def _qubit_crossings(thetas, cz: float, g0: float, g1: float, d_target: float):
     return x, z, _qubit_f(x, z, g0, g1)
 
 
-BAND_LABELS = np.array(["outside"] + [f"D{b}" for b in range(10)])
-
-
 def check_grid(grid_n: int):
-    """Reject a grid size below 1, as bloch_sweep, classify_simplex_regions
-    and the CLI do."""
+    """Reject a grid size below 1, as classify_simplex_regions and the CLI's
+    regions and sweep commands do."""
     if grid_n < 1:
         raise InputError(f"grid must be >= 1, got {grid_n}")
-
-
-def bloch_sweep(gamma, grid_n: int, d_target: float,
-                theta_points: int = 720) -> tuple[RegionGrid, HardPairReport]:
-    """Classify the x-z Bloch disk by free-energy bands on a grid_n x grid_n
-    grid, and extract the D = d_target level set with its fidelity extremes
-    (bloch_level_set)."""
-    check_grid(grid_n)
-    report = bloch_level_set(gamma, d_target, theta_points)
-    g0, g1 = np.asarray(qmat.asmat(gamma)).real.diagonal().tolist()
-    xs = np.linspace(-1.0, 1.0, grid_n)
-    zs = np.linspace(-1.0, 1.0, grid_n)
-    xg, zg = np.meshgrid(xs, zs, indexing="ij")
-    inside = xg * xg + zg * zg <= 1.0
-    d_vals = np.where(inside, _qubit_d_bits(xg, zg, g0, g1), np.nan)
-    f_vals = np.where(inside, _qubit_f(xg, zg, g0, g1), np.nan)
-    bands = np.where(inside, np.minimum(np.floor(d_vals), 9), -1)
-    grid = RegionGrid(points=np.column_stack([xg.ravel(), zg.ravel()]),
-                      labels=BAND_LABELS[bands.ravel().astype(int) + 1],
-                      d_bits=d_vals.ravel(), f_value=f_vals.ravel())
-    return grid, report
 
 
 def bloch_level_set(gamma, d_target: float, theta_points: int = 720) -> HardPairReport:
@@ -421,29 +397,13 @@ def bloch_level_set(gamma, d_target: float, theta_points: int = 720) -> HardPair
 # thermomajorization
 # ---------------------------------------------------------------------------
 
-def _lorenz_curve(p: np.ndarray, g: np.ndarray):
-    order = np.argsort(-(p / g), kind="stable")
-    xs = np.concatenate([[0.0], np.cumsum(g[order])])
-    ys = np.concatenate([[0.0], np.cumsum(p[order])])
-    return xs, ys
-
-
-def thermomajorizes(p, p_prime, gamma) -> tuple[bool, dict]:
-    """(p, gamma) thermomajorizes (p', gamma): Lorenz-curve domination.
-
-    Both curves are concave piecewise-linear, so domination at the merged
-    breakpoints is equivalent to domination everywhere.
-    """
+def thermomajorizes(p, p_prime, gamma) -> bool:
+    """(p, gamma) thermomajorizes (p', gamma): the Lorenz curve of p dominates
+    that of p'. It is _fo_mask's test on the single point p'."""
     pv, qv, gv = qmat.probs(p), qmat.probs(p_prime), qmat.probs(gamma)
     if np.min(gv) <= 0:
         raise SupportViolation("Gibbs vector must have full support")
-    xs_p, ys_p = _lorenz_curve(pv, gv)
-    xs_q, ys_q = _lorenz_curve(qv, gv)
-    merged = np.union1d(xs_p, xs_q)
-    cp = np.interp(merged, xs_p, ys_p)
-    cq = np.interp(merged, xs_q, ys_q)
-    ok = bool(np.all(cp >= cq - CMP_TOL))
-    return ok, {"x": merged, "curve_p": cp, "curve_p_prime": cq}
+    return bool(_fo_mask(pv, gv, qv[None, :])[0])
 
 
 def _block_lorenz(v: np.ndarray, sizes: np.ndarray):
@@ -462,46 +422,6 @@ def _lorenz_at(curve, x):
                for k in range(starts.shape[1]))
 
 
-def _renyi_rows(p: np.ndarray, q: np.ndarray, a: float, s: np.ndarray) -> np.ndarray:
-    """log2(s) / (a - 1) for the row sums s = sum_i p_i^a q_i^(1-a) over the
-    entries where p and q (which may broadcast) are both positive. Where a
-    row's powers under- or overflowed, so that s is non-finite or 0, that row
-    is summed again in the log domain, as divergences.classical_renyi does."""
-    out = np.log2(s) / (a - 1.0)
-    bad = ~((s > 0.0) & (s < math.inf))
-    if bad.any():
-        out[bad] = dv._renyi_log_domain(*(x[bad] for x in np.broadcast_arrays(p, q)), a)
-    return out
-
-
-def _classical_d_pair(gv: np.ndarray, pts: np.ndarray, a: float):
-    """D_a(point||g) and D_a(g||point) for all grid points at one alpha.
-
-    Returns two arrays of length n_points with +inf where the support
-    conditions fail.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if math.isinf(a):
-            ratio = np.where(pts > 0, pts / gv[None, :], 0.0)
-            d_pg = np.log2(ratio.max(axis=1))
-            ratio2 = np.where(pts > 0, gv[None, :] / pts, np.inf).max(axis=1)
-            return d_pg, np.log2(ratio2)
-        if abs(a - 1.0) < dv.ALPHA_ONE_WINDOW:
-            terms = np.where(pts > 0, pts * np.log2(np.where(pts > 0, pts, 1.0) / gv[None, :]), 0.0)
-            bad = (pts <= 0).any(axis=1)
-            vals = (gv[None, :] * np.log2(gv[None, :] / np.where(pts > 0, pts, 1.0))).sum(axis=1)
-            return terms.sum(axis=1), np.where(bad, np.inf, vals)
-        # a zero entry of a point adds 0 ** a = 0 to the sum, unless
-        # gv ** (1 - a) overflows: the row is then NaN, and is summed again
-        d_pg = _renyi_rows(pts, gv[None, :], a, (pts ** a * gv[None, :] ** (1.0 - a)).sum(axis=1))
-        s_gp = np.where(pts > 0, gv[None, :] ** a * np.where(pts > 0, pts, 1.0) ** (1.0 - a),
-                        0.0).sum(axis=1)
-        d_gp = _renyi_rows(gv[None, :], pts, a, s_gp)
-        if a > 1.0:
-            d_gp[(pts <= 0).any(axis=1)] = np.inf
-        return d_pg, d_gp
-
-
 def _simplex_points(grid_n: int) -> np.ndarray:
     """The points (a, b, n - a - b) / n of the 3-simplex, a + b <= n, in the
     row-major order of (a, b)."""
@@ -513,9 +433,14 @@ def _simplex_points(grid_n: int) -> np.ndarray:
 
 
 def _fo_mask(pv: np.ndarray, gv: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """FO: curve_p evaluated at each point's Lorenz breakpoints dominates it.
-    Its n x 3 temporaries are freed on return."""
-    xs_p, ys_p = _lorenz_curve(pv, gv)
+    """FO: the Lorenz curve of pv dominates that of each point at the point's
+    breakpoints. Both curves are concave and piecewise linear, so between two
+    breakpoints of a point's curve their difference is concave and least at
+    an end: domination there is domination everywhere. Its n x d temporaries
+    are freed on return."""
+    order_p = np.argsort(-(pv / gv), kind="stable")
+    xs_p = np.concatenate([[0.0], np.cumsum(gv[order_p])])
+    ys_p = np.concatenate([[0.0], np.cumsum(pv[order_p])])
     order = np.argsort(-(np.where(pts > 0, pts, 0.0) / gv[None, :]), axis=1, kind="stable")
     g_sorted = np.take_along_axis(np.broadcast_to(gv, pts.shape), order, axis=1)
     p_sorted = np.take_along_axis(pts, order, axis=1)
@@ -576,9 +501,10 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     red_margin = np.full(len(pts), -np.inf)
     kl_idx = int(kl_at[0])
     for i, al in enumerate(alpha_grid):
-        d_pg, d_gp = _classical_d_pair(gv, pts, al)
+        d_pg = dv.classical_renyi_rows(pts, gv, al)
         ref_pg = dv.classical_renyi(pv, gv, al)
-        co &= (ref_pg >= d_pg - CMP_TOL) & (dv.classical_renyi(gv, pv, al) >= d_gp - CMP_TOL)
+        co &= ((ref_pg >= d_pg - CMP_TOL)
+               & (dv.classical_renyi(gv, pv, al) >= dv.classical_renyi_rows(gv, pts, al) - CMP_TOL))
         if 0.5 <= al < 1.0:
             red_margin = np.maximum(red_margin, d_pg - ref_pg)
         if i == kl_idx:

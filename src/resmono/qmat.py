@@ -28,8 +28,6 @@ SUPPORT_RTOL = 1e-12   # support_mask: eigenvalue threshold relative to the larg
 SUM_TOL = 1e-12        # slack on classical sums
 GEODESIC_MIN_ANGLE = 1e-6  # bures_geodesic: below this angle the direction from sigma to rho is rounding noise
 
-LOG2E = float(np.log2(np.e))
-
 
 # ---------------------------------------------------------------------------
 # value types

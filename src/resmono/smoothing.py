@@ -423,13 +423,6 @@ def _optimize(rho, sigma, spec: SmoothingSpec, objective, warm_starts=None) -> S
     rho_work = rho
     if compress is not None:
         rho_work = hermitize(dag(compress) @ rho @ compress)
-        if ball is not Ball.SUBNORMALIZED_TRACE:
-            # Cauchy-Schwarz certificate: no subspace state can beat
-            # sqrt(Tr P rho P) + deficit in root fidelity
-            best_rf = (math.sqrt(max(0.0, float(np.trace(rho_work).real)))
-                       + math.sqrt(max(0.0, 1.0 - proj.tr_rho)))
-            if best_rf < proj.f_req - 1e-12:
-                return SmoothedValue(math.inf, None, cert)
         starts = [hermitize(dag(compress) @ s @ compress) for s in starts]
     starts += _structured_starts(rho_work, sig, eps, ball)
     starts += _random_starts(rho_work, eps, spec.restarts, spec.seed)

@@ -42,7 +42,7 @@ def test_criterion_01_appendix_b_closed_forms():
 
 def test_criterion_02_qubit_sweep():
     t0 = time.perf_counter()
-    grid, rep = cs.bloch_sweep(np.diag([0.999, 0.001]), grid_n=400, d_target=2.0)
+    rep = cs.bloch_level_set(np.diag([0.999, 0.001]), d_target=2.0)
     d = rep.diagnostics
     assert abs(d["theta_bloch"] - math.pi / 3.38) <= 0.02
     assert abs(d["rho_prime_diag"][0] - 0.713) <= 0.005

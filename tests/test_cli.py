@@ -95,6 +95,18 @@ def test_regions_where_powers_overflow():
     assert "0,1,0,FO,26.5754247591," in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_regions_gamma_entry_below_overlap_tolerance():
+    # gamma_2 = 1e-13 <= OVERLAP_TOL: the grid point equal to p puts 0 there,
+    # which violates no support condition, so it is CO as well as FO
+    argv = ["regions", "--p", "0.5,0,0.5", "--gamma", "0.5,1e-13,0.4999999999999",
+            "--grid", "4", "--alpha-points", "4"]
+    code, out, err = run_cli_err(argv)
+    assert code == 0, err
+    assert "# nesting_violations=0" in out
+    assert "0.5,0,0.5,FO," in out
+
+
 def test_sweep_outputs_theta_row():
     code, out = run_cli(["sweep", "--gamma", "0.999,0.001", "--level", "2.0",
                          "--grid", "60", "--theta-points", "120"])
@@ -249,6 +261,7 @@ def run_cli_err(argv):
     ["sweep", "--gamma", "0.999,0.001", "--level", "nan"],
     ["sweep", "--gamma", "0.7,0.3", "--level", "3.0"],
     ["sweep", "--gamma", "0.999,0.001", "--theta-points", "0"],
+    ["sweep", "--gamma", "0.999,0.001", "--grid", "0"],
     ["sweep", "--gamma", "0.3,0.7", "--level", "1.0"],
     REGIONS_ARGV + ["--grid", "0"],
     REGIONS_ARGV + ["--grid", "-3"],
@@ -289,7 +302,7 @@ def run_cli_err(argv):
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
-        "sweep_level_nan", "sweep_level_above_max", "sweep_theta_points_zero",
+        "sweep_level_nan", "sweep_level_above_max", "sweep_theta_points_zero", "sweep_grid_zero",
         "sweep_gamma_ascending", "regions_grid_zero", "regions_grid_negative",
         "regions_alpha_points_zero", "regions_p_not_normalized",
         "regions_gamma_not_normalized", "regions_gamma_rank_deficient",
@@ -321,8 +334,9 @@ def test_bad_input_exit_two(argv, matrix_files):
     (["divergence", "--rho", "{state3}", "--sigma", "{not_state}"], "--sigma "),
     (["monotone", "--theory", "athermality", "--alpha", "2", "--p", "0,0", "--gamma", "0.5,0.5"],
      "--p must have a positive sum"),
+    (["sweep", "--gamma", "0.999,0.001", "--grid", "0"], "grid must be >= 1, got 0"),
 ], ids=["sandwiched_alpha_nan", "smooth_alpha_inf", "smooth_alpha_minus_inf", "smooth_shapes",
-        "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p"])
+        "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p", "sweep_grid_zero"])
 def test_bad_input_names_the_input(argv, named, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2

@@ -141,12 +141,11 @@ def test_coherence_pair_infeasible():
 
 
 # ---------------------------------------------------------------------------
-# Bloch sweep
+# Bloch level set
 # ---------------------------------------------------------------------------
 
 def test_bloch_sweep_reproduces_published_point():
-    grid, rep = cs.bloch_sweep(np.diag([0.999, 0.001]), grid_n=120,
-                               d_target=2.0, theta_points=300)
+    rep = cs.bloch_level_set(np.diag([0.999, 0.001]), d_target=2.0, theta_points=300)
     d = rep.diagnostics
     assert abs(d["theta_bloch"] - math.pi / 3.38) <= 0.02
     assert abs(d["rho_prime_diag"][0] - 0.713) <= 0.005
@@ -165,11 +164,11 @@ def test_bloch_sweep_reproduces_published_point():
 
 def test_bloch_sweep_rejects_bad_gibbs():
     with pytest.raises(InvalidGibbs):
-        cs.bloch_sweep(np.array([[0.9, 0.1], [0.1, 0.1]]), 50, 2.0)
+        cs.bloch_level_set(np.array([[0.9, 0.1], [0.1, 0.1]]), 2.0)
     with pytest.raises(InvalidGibbs):
-        cs.bloch_sweep(np.diag([1.0, 0.0]), 50, 2.0)
+        cs.bloch_level_set(np.diag([1.0, 0.0]), 2.0)
     with pytest.raises(InvalidGibbs, match="larger weight first"):
-        cs.bloch_sweep(np.diag([0.3, 0.7]), 50, 1.0)
+        cs.bloch_level_set(np.diag([0.3, 0.7]), 1.0)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -178,13 +177,12 @@ def test_bloch_sweep_rejects_bad_gibbs():
     ({"d_target": 0.0}, "level"),
     ({"d_target": math.log2(1 / 0.3)}, "level"),
     ({"d_target": 3.0}, "level"),
-    ({"grid_n": 0}, "grid"),
     ({"theta_points": 0}, "theta_points"),
 ])
 def test_bloch_sweep_rejects_bad_arguments(kwargs, match):
-    args = {"grid_n": 10, "d_target": 1.0, "theta_points": 36, **kwargs}
+    args = {"d_target": 1.0, "theta_points": 36, **kwargs}
     with pytest.raises(InputError, match=match):
-        cs.bloch_sweep(np.diag([0.7, 0.3]), **args)
+        cs.bloch_level_set(np.diag([0.7, 0.3]), **args)
 
 
 def _scalar_sweep_reference(g0, g1, d_target, theta_points):
@@ -274,8 +272,7 @@ def _scalar_sweep_reference(g0, g1, d_target, theta_points):
 ])
 def test_bloch_sweep_matches_scalar_reference(g0, level, theta_points):
     g1 = 1.0 - g0
-    _, rep = cs.bloch_sweep(np.diag([g0, g1]), grid_n=4, d_target=level,
-                            theta_points=theta_points)
+    rep = cs.bloch_level_set(np.diag([g0, g1]), d_target=level, theta_points=theta_points)
     level_set, (f_hi, pt_hi), (f_lo, pt_lo), theta_bloch = _scalar_sweep_reference(
         g0, g1, level, theta_points)
     d = rep.diagnostics
@@ -288,27 +285,17 @@ def test_bloch_sweep_matches_scalar_reference(g0, level, theta_points):
         [[1.0 + pt_lo[1], pt_lo[0]], [pt_lo[0], 1.0 - pt_lo[1]]], dtype=complex))
 
 
-def test_bloch_sweep_grid_labels_match_band_strings():
-    grid, _ = cs.bloch_sweep(np.diag([0.999, 0.001]), grid_n=60, d_target=2.0,
-                             theta_points=8)
-    bands = np.where(np.isnan(grid.d_bits), -1, np.minimum(np.floor(grid.d_bits), 9))
-    expected = np.array([f"D{int(b)}" if b >= 0 else "outside" for b in bands])
-    assert grid.labels.dtype == expected.dtype == np.dtype("<U7")
-    assert np.array_equal(grid.labels, expected)
-    assert {"outside", "D0", "D9"} <= set(expected.tolist())
-
-
 # ---------------------------------------------------------------------------
 # thermomajorization and regions
 # ---------------------------------------------------------------------------
 
 def test_thermomajorizes_reflexive_and_gibbs():
-    ok, _ = cs.thermomajorizes(FIG1_P, FIG1_P, FIG1_GAMMA)
+    ok = cs.thermomajorizes(FIG1_P, FIG1_P, FIG1_GAMMA)
     assert ok
-    ok, _ = cs.thermomajorizes(FIG1_P, FIG1_GAMMA, FIG1_GAMMA)
+    ok = cs.thermomajorizes(FIG1_P, FIG1_GAMMA, FIG1_GAMMA)
     assert ok
     # the Gibbs state thermomajorizes nothing but itself-like states
-    ok, _ = cs.thermomajorizes(FIG1_GAMMA, FIG1_P, FIG1_GAMMA)
+    ok = cs.thermomajorizes(FIG1_GAMMA, FIG1_P, FIG1_GAMMA)
     assert not ok
     with pytest.raises(SupportViolation):
         cs.thermomajorizes(FIG1_P, FIG1_P, np.array([1.0, 0.0, 0.0]))
@@ -322,7 +309,7 @@ def test_thermomajorizes_matches_embedding_oracle():
     for _ in range(40):
         q = rng.random(3)
         q /= q.sum()
-        ok, _ = cs.thermomajorizes(FIG1_P, q, FIG1_GAMMA)
+        ok = cs.thermomajorizes(FIG1_P, q, FIG1_GAMMA)
         qhat = cs.embedding_channel(q, FIG1_GAMMA_FRAC).probs
         cum_q = np.cumsum(np.sort(qhat)[::-1])
         assert ok == bool(np.all(cum_p >= cum_q - 1e-12))
@@ -359,19 +346,25 @@ def test_majorization_oracle_memory_at_a_large_denominator():
     assert grid.oracle_disagreements == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_classical_d_pair_where_powers_overflow():
-    # gamma_2^(1 - alpha) overflows at large alpha: rows are summed in the
-    # log domain and agree with classical_renyi, zero entries included
-    gv = np.array([0.5, 1e-8, 0.49999998999999995])
+    # every row of classical_renyi_rows, both directions, zero entries
+    # included, is classical_renyi of its point. At gamma_2 = 1e-8,
+    # gamma_2^(1 - alpha) overflows at large alpha and rows are summed in the
+    # log domain; at gamma_2 = 1e-13 <= OVERLAP_TOL, a point with 0 there
+    # violates no support condition at alpha >= 1, for rows as for the scalar,
+    # and at alpha = 1075 such a row is summed in the log domain with that 0
     pts = cs._simplex_points(4)
-    for a in (0.5, 0.7, 2.0, 40.0, 400.0):
-        d_pg, d_gp = cs._classical_d_pair(gv, pts, a)
-        for pt, x, y in zip(pts, d_pg, d_gp):
-            with np.errstate(over="ignore", invalid="ignore"):   # classical_renyi's plain try
-                ref_pg, ref_gp = dv.classical_renyi(pt, gv, a), dv.classical_renyi(gv, pt, a)
-            assert math.isclose(x, ref_pg, rel_tol=1e-12, abs_tol=1e-12)
-            assert y == ref_gp if math.isinf(ref_gp) else math.isclose(y, ref_gp, rel_tol=1e-12)
-    d_pg, _ = cs._classical_d_pair(gv, np.eye(3)[[1]], 40.0)
+    for gv in ([0.5, 1e-8, 0.49999998999999995], [0.5, 1e-13, 0.4999999999999]):
+        gv = np.array(gv)
+        for a in (0.5, 0.7, 1.0, 2.0, 40.0, 400.0, 1075.0, math.inf):
+            d_pg, d_gp = dv.classical_renyi_rows(pts, gv, a), dv.classical_renyi_rows(gv, pts, a)
+            for pt, x, y in zip(pts, d_pg, d_gp):
+                with np.errstate(over="ignore", invalid="ignore"):   # classical_renyi's plain try
+                    ref_pg, ref_gp = dv.classical_renyi(pt, gv, a), dv.classical_renyi(gv, pt, a)
+                assert x == ref_pg and y == ref_gp
+    d_pg = dv.classical_renyi_rows(np.eye(3)[[1]], np.array([0.5, 1e-8, 0.49999998999999995]),
+                                   40.0)
     assert abs(d_pg[0] - 26.5754247591) <= 1e-9
 
 

@@ -694,11 +694,15 @@ def test_min_smoothing_handles_singular_sigma():
                                 np.diag([1.0, 0.0]).astype(complex),
                                 small_spec(0.5, 2.0))
     assert math.isfinite(sv.value)
-    # and infeasible when the ball is too small to reach supp(sigma)
-    sv2 = sm.smoothed_sandwiched(np.diag([0.5, 0.5]).astype(complex),
-                                 np.diag([1.0, 0.0]).astype(complex),
-                                 small_spec(0.05, 2.0))
-    assert math.isinf(sv2.value)
+    # and infeasible when the ball is too small to reach supp(sigma): no
+    # start survives the projection, on either purified ball
+    for ball in (sm.Ball.SUBNORMALIZED_PURIFIED, sm.Ball.NORMALIZED_PURIFIED):
+        sv2 = sm.smoothed_sandwiched(np.diag([0.5, 0.5]).astype(complex),
+                                     np.diag([1.0, 0.0]).astype(complex),
+                                     small_spec(0.05, 2.0, ball))
+        assert sv2.value == math.inf
+        assert sv2.optimizer is None
+        assert sv2.certified is sm.Certified.HEURISTIC_UPPER_BOUND
 
 
 def test_dp_check_identity_channel():
