@@ -233,8 +233,8 @@ def cmd_regions(args):
 def cmd_sweep(args):
     g, _ = parse_vector(args.gamma, args.rationalize)
     gamma = np.diag(g.astype(complex))
-    # --grid no longer sizes anything: it is validated and echoed so that
-    # existing command lines run unchanged
+    # --grid sizes nothing: it is validated and echoed so that existing
+    # command lines run unchanged
     cs.check_grid(args.grid)
     rep = cs.bloch_level_set(gamma, args.level, theta_points=args.theta_points)
     d = rep.diagnostics
