@@ -77,15 +77,27 @@ def sandwiched(rho, sigma, alpha: float) -> float:
         return math.inf
     a = mpow(s, (1.0 - alpha) / (2.0 * alpha))
     w = qmat.spectral_clip(np.linalg.eigvalsh(hermitize(a @ r @ a)))
-    q = float((w ** alpha).sum())
-    if not 0.0 < q < math.inf:
-        # w^alpha under- or overflows at huge orders: sum it in the log domain
-        w = w[w > 0.0]
-        if w.size:
-            return _renyi_log_domain(w, np.ones_like(w), alpha)
-    if q <= 0.0:
-        return math.inf
-    return float(np.log2(q)) / (alpha - 1.0)
+    return float(_renyi_of_spectra(w[None], alpha)[0])
+
+
+def _renyi_of_spectra(w: np.ndarray, alpha: float) -> np.ndarray:
+    """log2(sum w^alpha) / (alpha - 1) for each row of an (S, n) stack of
+    clipped spectra: the sandwiched divergence read from the spectrum of
+    sigma^c rho sigma^c, c = (1 - alpha) / 2 alpha.
+
+    A row whose plain sum is not in (0, inf), because its powers under- or
+    overflow at a huge order, is resummed in the log domain; an all-zero row
+    gives +inf.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        s = (w ** alpha).sum(axis=-1)
+        out = np.log2(s) / (alpha - 1.0)
+    redo = np.flatnonzero(~((s > 0.0) & (s < math.inf)))
+    if redo.size:
+        out[redo] = math.inf
+        redo = redo[(w[redo] > 0.0).any(axis=-1)]
+        out[redo] = _renyi_log_domain(w[redo], np.ones_like(w[redo]), alpha)
+    return out
 
 
 def petz(rho, sigma, alpha: float) -> float:
@@ -172,11 +184,10 @@ def _classical_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return pv, qv
 
 
-def _off_support(p: np.ndarray, q: np.ndarray, tol: float = OVERLAP_TOL) -> np.ndarray:
-    """The entries where p puts more than tol and q is 0: a divergence of
-    order >= 1 from p to q is +inf if there is one. Only the max-divergence
-    counts every positive entry (tol = 0)."""
-    return (p > tol) & (q <= 0)
+def _off_support(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The entries where p puts more than OVERLAP_TOL and q is 0: a
+    divergence of order >= 1 from p to q is +inf if there is one."""
+    return (p > OVERLAP_TOL) & (q <= 0)
 
 
 def classical_renyi(p, q, alpha: float) -> float:
@@ -185,9 +196,11 @@ def classical_renyi(p, q, alpha: float) -> float:
     if math.isinf(alpha):
         if alpha < 0.0:
             raise AlphaOutOfRange(f"classical Renyi divergence needs a real order or +inf, got {alpha}")
-        if np.any(_off_support(pv, qv, 0.0)):
+        if np.any(_off_support(pv, qv)):
             return math.inf
-        mask = pv > 0
+        mask = (pv > 0) & (qv > 0)   # as for alpha > 1, mass below tolerance on ker(q) is dropped
+        if not mask.any():
+            return -math.inf           # as dmax of the diagonal embeddings
         return float(np.log2(np.max(pv[mask] / qv[mask])))
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
         return classical_kl(pv, qv)
@@ -232,7 +245,7 @@ def classical_renyi_rows(p, q, alpha: float) -> np.ndarray:
             if redo.size:
                 out[redo] = _renyi_log_domain(*(x[redo] for x in np.broadcast_arrays(p, q)), alpha)
     if alpha > 1.0 or abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-        off = _off_support(p, q, 0.0 if math.isinf(alpha) else OVERLAP_TOL)
+        off = _off_support(p, q)
         if off.any():
             out[_by_row(np.logical_or, off)] = math.inf
     return out

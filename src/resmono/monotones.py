@@ -3,7 +3,8 @@
 Three free-set families are supported: athermality (singleton Gibbs state),
 coherence (diagonal states), and pure bipartite entanglement (closed forms
 from the Schmidt vector). The fidelity of coherence comes in a primal form
-(concave maximization over the simplex) and a dual Alberti-type form
+(the order-1/2 coherence monotone, F_coh = 2^-min_q D_1/2(rho || diag q))
+and a dual Alberti-type form
 
     F_coh(rho) = inf_{R > 0} Tr[rho R^-1] ||Delta(R)||_inf
 
@@ -12,10 +13,12 @@ transition operator of the primal optimum, which the KKT conditions of the
 primal make dual-optimal, and one L-BFGS-B run polishes it before the value
 is certified.
 
-The coherence monotones and the primal are found by entropic mirror ascent
-over the simplex (_mirror_opt). All its starts ascend in lockstep as one
-(S, d) stack, so each iteration costs one stacked eigh for the gradient and
-one stacked eigvalsh per backtracking round, whatever the number of starts.
+The coherence monotones and the primal are found by entropic mirror descent
+on the divergence D_alpha(rho || diag q) over the simplex (_mirror_opt,
+_coherence_obj), at every order through one objective. All its starts
+descend in lockstep as one (S, d) stack, so each iteration costs one stacked
+eigh for the gradient and one stacked eigvalsh per backtracking round,
+whatever the number of starts.
 
 The coherence robustness (the alpha = inf monotone) is the SDP min Tr D over
 diagonal D >= rho (Napoli et al., PRL 116, 150502 (2016)). A generalized
@@ -88,32 +91,30 @@ class PureBipartiteEntanglement(ResourceTheory):
 # simplex optimizers (entropic mirror descent keeps iterates interior)
 # ---------------------------------------------------------------------------
 
-def _mirror_opt(obj, grad, maximize, starts, iters):
-    """Entropic mirror ascent (Beck & Teboulle 2003) on the simplex, every
+def _mirror_opt(obj, grad, starts, iters):
+    """Entropic mirror descent (Beck & Teboulle 2003) on the simplex, every
     start at once: obj and grad map an (S, d) stack of distributions to S
     values and (S, d) gradients.
 
     Each row keeps its own step and stops on its own: when its gradient
     scale falls below 1e-16, when 25 halvings of its step (or a step below
-    1e-14) find no ascent, when an accepted step gains less than
+    1e-14) find no descent, when an accepted step gains less than
     SIMPLEX_TOL, or after iters steps. One stacked grad call serves every
     live row per iteration, and one stacked obj call every row still
     halving per backtracking round, so each row evaluates exactly the trials
-    it would evaluate alone, and an overflow raised under np.errstate is
-    raised exactly as for that row alone. Returns the value and a copy of
-    the argument of the first start with the strictly greatest value (None
-    when no value beats -inf).
+    it would evaluate alone. Returns the value and a copy of the argument of
+    the first start with the strictly least value (None when no value is
+    below +inf).
     """
-    sign = 1.0 if maximize else -1.0
     q = np.clip(np.asarray(starts, dtype=float), 1e-14, None)
     q = q / q.sum(axis=1, keepdims=True)
-    val = sign * obj(q)
+    val = obj(q)
     step = np.full(len(q), 0.5)
     live = np.arange(len(q))
     for _ in range(iters):
         if not live.size:
             break
-        g = sign * grad(q[live])
+        g = grad(q[live])
         scale = np.max(np.abs(g), axis=1)
         moving = ~(scale < 1e-16)
         live, g, scale = live[moving], g[moving], scale[moving]
@@ -125,65 +126,46 @@ def _mirror_opt(obj, grad, maximize, starts, iters):
             if not j.size:
                 break
             rows = live[j]
-            qt = q[rows] * np.exp(step[rows, None] * g[j] / scale[j, None])
+            qt = q[rows] * np.exp(-step[rows, None] * g[j] / scale[j, None])
             qt = np.clip(qt, 1e-300, None)
             qt = qt / qt.sum(axis=1, keepdims=True)
-            vt = sign * obj(qt)
-            hit = vt > val[rows] + 1e-18
+            vt = obj(qt)
+            hit = vt < val[rows] - 1e-18
             qn[j[hit]], vn[j[hit]] = qt[hit], vt[hit]
             accepted[j[hit]] = True
             step[rows[~hit]] *= 0.5
             trying[j] = ~hit & (step[rows] >= 1e-14)
         live = live[accepted]
-        improved = vn[accepted] - val[live]
+        improved = val[live] - vn[accepted]
         q[live], val[live] = qn[accepted], vn[accepted]
         step[live] = np.minimum(step[live] * 1.5, 50.0)
         live = live[~(improved < SIMPLEX_TOL)]
-    best = int(np.argmax(np.where(val > -math.inf, val, -math.inf)))
-    if not val[best] > -math.inf:
-        return sign * -math.inf, None
-    return sign * float(val[best]), q[best].copy()
+    best = int(np.argmin(np.where(val < math.inf, val, math.inf)))
+    if not val[best] < math.inf:
+        return math.inf, None
+    return float(val[best]), q[best].copy()
 
 
-def _coherence_q_obj(rho: np.ndarray, alpha: float):
-    """Objective Tr[M^alpha], M = diag(q)^c rho diag(q)^c, c = (1-a)/2a, and
-    its analytic gradient in q, for each row of an (S, d) stack q."""
+def _coherence_obj(rho: np.ndarray, alpha: float):
+    """The divergence D_alpha(rho || diag q) = log2(Tr[M^alpha]) / (alpha - 1),
+    M = diag(q)^c rho diag(q)^c, c = (1-a)/2a, and its gradient
+    -(M^alpha)_ii / (q_i Tr[M^alpha] ln 2) in q, for each row of an (S, d)
+    stack q. The value is read from the spectrum of M by
+    divergences._renyi_of_spectra, and the gradient sums (w / w_max)^alpha,
+    so neither under- nor overflows at any order."""
     c = (1.0 - alpha) / (2.0 * alpha)
+
+    def sandwich(q):
+        s = q ** c
+        return hermitize((s[:, :, None] * rho) * s[:, None, :])
 
     def obj(q):
-        s = q ** c
-        return qmat.trace_power((s[:, :, None] * rho) * s[:, None, :], alpha)
+        return dv._renyi_of_spectra(qmat.spectral_clip(np.linalg.eigvalsh(sandwich(q))), alpha)
 
     def grad(q):
-        s = q ** c
-        _, inner = qmat.trace_power_grad((s[:, :, None] * rho) * s[:, None, :], alpha)
-        rs = rho * s[:, None, :]
-        diag = np.einsum("sij,sji->si", rs, inner).real
-        return 2.0 * alpha * c * q ** (c - 1.0) * diag
-
-    return obj, grad
-
-
-def _coherence_log_obj(rho: np.ndarray, alpha: float):
-    """The divergence log2(Tr[M^alpha]) / (alpha - 1) itself, M as above, and
-    its gradient -(M^alpha)_ii / (q_i Tr[M^alpha] ln 2) in q, for each row of
-    an (S, d) stack q. Both are summed from the spectrum of M over its
-    largest eigenvalue, so no power under- or overflows at any order."""
-    c = (1.0 - alpha) / (2.0 * alpha)
-
-    def spectrum(q):
-        s = q ** c
-        w, u = np.linalg.eigh(hermitize((s[:, :, None] * rho) * s[:, None, :]))
+        w, u = np.linalg.eigh(sandwich(q))
         w = qmat.spectral_clip(w)
-        return w[:, -1], (w / w[:, -1:]) ** alpha, u
-
-    def obj(q):
-        top, p, _ = spectrum(q)
-        return np.array([alpha * math.log2(t) + math.log2(z)
-                         for t, z in zip(top, p.sum(axis=1))]) / (alpha - 1.0)
-
-    def grad(q):
-        _, p, u = spectrum(q)
+        p = (w / w[:, -1:]) ** alpha
         return -((np.abs(u) ** 2) @ p[:, :, None])[:, :, 0] / (
             q * p.sum(axis=1, keepdims=True) * math.log(2.0))
 
@@ -205,12 +187,11 @@ def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = MONOT
                        seed: int = 0):
     """min over diagonal sigma of the sandwiched divergence, with its argmin.
 
-    For alpha in [1/2,1) the trace functional is concave in sigma and is
-    maximized; for alpha > 1 it is convex and minimized. Either way a
-    stationary point of the mirror iteration is a global optimum. At orders
-    where Tr[M^alpha] or its gradient overflows on the way (alpha > 1 far
-    from the optimum), the descent reruns on the divergence itself, summed
-    in the log domain by _coherence_log_obj.
+    The mirror descent runs on the divergence D_alpha(rho || diag q) itself
+    (_coherence_obj) at every order. It is log2(Tr[M^alpha]) / (alpha - 1),
+    a monotone function of a trace functional that is concave in q for alpha
+    in [1/2,1) and convex for alpha > 1, so its stationary points on the
+    simplex are those of the trace functional, and each is a global minimum.
     """
     r = asmat(rho)
     if abs(alpha - 1.0) < dv.ALPHA_ONE_WINDOW:
@@ -218,18 +199,7 @@ def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = MONOT
         return relative_entropy_coherence(r), q / max(q.sum(), 1e-300)
     if math.isinf(alpha):
         return _robustness_coherence(r)[:2]
-    obj, grad = _coherence_q_obj(r, alpha)
-    starts = _simplex_starts(r, restarts, seed)
-    maximize = alpha < 1.0
-    try:
-        with np.errstate(over="raise"):
-            qval, qarg = _mirror_opt(obj, grad, maximize, starts, iters=iters)
-    except FloatingPointError:
-        # Tr[M^alpha] or its gradient overflowed: descend on the divergence in the log domain
-        return _mirror_opt(*_coherence_log_obj(r, alpha), False, starts, iters=iters)
-    if qval <= 0.0:
-        return math.inf, qarg
-    return float(np.log2(qval)) / (alpha - 1.0), qarg
+    return _mirror_opt(*_coherence_obj(r, alpha), _simplex_starts(r, restarts, seed), iters)
 
 
 def coherence_optimal_sigma(rho, alpha: float) -> np.ndarray:
@@ -294,12 +264,12 @@ class CoherenceDual:
 
 
 def fidelity_coherence_primal(rho, restarts: int = 10, seed: int = 0) -> CoherencePrimal:
-    """max over diagonal sigma of F(rho, sigma): concave in sigma."""
+    """max over diagonal sigma of F(rho, sigma), as 2^-d for the least
+    d = D_1/2(rho || sigma) = -log2 F(rho, sigma): the mirror descent of
+    coherence_monotone at order 1/2, on a longer budget (PRIMAL_ITERS)."""
     r = asmat(rho)
-    obj, grad = _coherence_q_obj(r, 0.5)   # Tr[M^1/2] = root fidelity to diag(q)
-    starts = _simplex_starts(r, restarts, seed)
-    root, q = _mirror_opt(obj, grad, True, starts, PRIMAL_ITERS)
-    return CoherencePrimal(value=float(root ** 2), argmax=q)
+    d, q = _mirror_opt(*_coherence_obj(r, 0.5), _simplex_starts(r, restarts, seed), PRIMAL_ITERS)
+    return CoherencePrimal(value=float(2.0 ** -d), argmax=q)
 
 
 def fidelity_coherence_dual(rho, restarts: int = 10, seed: int = 0) -> CoherenceDual:
@@ -317,7 +287,7 @@ def fidelity_coherence_dual(rho, restarts: int = 10, seed: int = 0) -> Coherence
     so Alberti's objective at R = M is F_coh itself. N starts as
     (M + floor*I)^1/2, with q floored at DUAL_FLOOR: the start is finite, and
     a zero row of rho leaves no zero row in N. `restarts` and `seed` steer the
-    primal ascent (fidelity_coherence_primal) that supplies q.
+    primal descent (fidelity_coherence_primal) that supplies q.
 
     The optimizer's objective is not the reported value: near the optimum R
     is nearly singular, and a float evaluation of Tr[rho R^-1] there can fall

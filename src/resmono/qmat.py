@@ -86,9 +86,6 @@ class ClassicalDist:
         self.dim = probs.shape[0]
         self.probs = np.clip(probs, 0.0, None)
 
-    def as_density(self) -> DensityOperator:
-        return DensityOperator(np.diag(self.probs.astype(complex)))
-
 
 @dataclass
 class KrausChannel:

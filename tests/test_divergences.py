@@ -260,6 +260,15 @@ def test_sandwiched_huge_orders(alpha):
     assert abs(got - expected) <= 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [2000.0, 1e300])
+def test_sandwiched_huge_orders_print_no_warning(alpha):
+    # w^alpha overflows or underflows in the plain sum before the log-domain resum
+    for seed in range(6):
+        rho, sig = (qmat.random_state(3, 3, seed=s).data for s in (2 * seed, 2 * seed + 1))
+        assert math.isfinite(dv.sandwiched(rho, sig, alpha))
+
+
 @pytest.mark.parametrize("wrap", [np.array, qmat.ClassicalDist], ids=["array", "dist"])
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 2.0, math.inf])
 def test_quantum_entry_points_take_the_classical_path(wrap, alpha):
@@ -281,3 +290,15 @@ def test_vector_with_matrix_is_embedded_on_the_diagonal(alpha):
         assert dv.umegaki(a, b) == dv.umegaki(da, db)
         assert dv.dmax(a, b) == dv.dmax(da, db)
         assert dv.rel_entropy_variance(a, b) == dv.rel_entropy_variance(da, db)
+
+
+def test_classical_dmax_drops_mass_below_overlap_tolerance():
+    # gamma_2 = 1e-13 <= OVERLAP_TOL sits where p is 0: the quantum dmax of the
+    # diagonal embeddings ignores it, and so does the classical fast path
+    gam, p = np.array([0.5, 1e-13, 0.4999999999999]), np.array([0.5, 0.0, 0.5])
+    quantum = dv.dmax(np.diag(gam.astype(complex)), np.diag(p.astype(complex)))
+    assert abs(dv.dmax(gam, p) - quantum) <= 1e-15
+    assert dv.classical_renyi_rows(gam[None], p, math.inf)[0] == dv.dmax(gam, p)
+    # with no mass left on supp(q), both read -inf
+    tiny, q = np.array([1e-13, 0.0]), np.array([0.0, 1.0])
+    assert dv.dmax(tiny, q) == dv.dmax(np.diag(tiny), np.diag(q)) == -math.inf
