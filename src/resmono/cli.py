@@ -168,8 +168,10 @@ def cmd_monotone(args):
     state, _ = _state_arg(args, "state", "p", args.rationalize)
     theory = _theory_from_args(args)
     if state.ndim == 1:
-        if not state.sum() > 0.0:
-            raise InputError(f"--p must have a positive sum, got {state.tolist()}")
+        # finite first: inf + (-inf) would make numpy warn inside the sum
+        if not (np.all(np.isfinite(state)) and state.sum() > 0.0):
+            raise InputError("--p must have a positive sum and finite entries, "
+                             f"got {state.tolist()}")
         state = qmat.ClassicalDist(state)
     val = mn.monotone_alpha(state, theory, alpha, seed=args.seed)
     # coherence away from alpha = 1 comes from mirror descent, not a closed form,
@@ -448,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_catalyst)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    common(p)
     p.add_argument("--suite", default="all",
                    help="comma list of suites or 'all'")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
     return ap
 

@@ -438,10 +438,12 @@ def _fo_mask(pv: np.ndarray, gv: np.ndarray, pts: np.ndarray) -> np.ndarray:
     breakpoints of a point's curve their difference is concave and least at
     an end: domination there is domination everywhere. Its n x d temporaries
     are freed on return."""
-    order_p = np.argsort(-(pv / gv), kind="stable")
+    # a subnormal gamma entry sends its ratio to inf, which still sorts first
+    with np.errstate(over="ignore"):
+        order_p = np.argsort(-(pv / gv), kind="stable")
+        order = np.argsort(-(np.where(pts > 0, pts, 0.0) / gv[None, :]), axis=1, kind="stable")
     xs_p = np.concatenate([[0.0], np.cumsum(gv[order_p])])
     ys_p = np.concatenate([[0.0], np.cumsum(pv[order_p])])
-    order = np.argsort(-(np.where(pts > 0, pts, 0.0) / gv[None, :]), axis=1, kind="stable")
     g_sorted = np.take_along_axis(np.broadcast_to(gv, pts.shape), order, axis=1)
     p_sorted = np.take_along_axis(pts, order, axis=1)
     bx = np.cumsum(g_sorted, axis=1)

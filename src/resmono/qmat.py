@@ -197,28 +197,6 @@ def _support_power(w: np.ndarray, t: float) -> np.ndarray:
     return np.where(w > 0.0, wt, 0.0)
 
 
-def _scalar(x: np.ndarray):
-    """A float for the result of one matrix, the array for a stack."""
-    return float(x) if x.ndim == 0 else x
-
-
-def trace_power(m: np.ndarray, alpha: float):
-    """Tr[m^alpha] of a PSD matrix, from its noise-clipped spectrum; an array
-    of values for a stack of matrices (S, n, n)."""
-    w = spectral_clip(np.linalg.eigvalsh(hermitize(m)))
-    return _scalar((w ** alpha).sum(axis=-1))
-
-
-def trace_power_grad(m: np.ndarray, alpha: float):
-    """Tr[m^alpha] and m^(alpha-1) taken on supp(m): the derivative of
-    Tr[m^alpha] along a Hermitian h supported on supp(m) is alpha Tr[m^(alpha-1) h].
-    On a stack (S, n, n), both come back per matrix."""
-    w, u = np.linalg.eigh(hermitize(m))
-    w = spectral_clip(w)
-    inner = (u * _support_power(w, alpha - 1.0)[..., None, :]) @ dag(u)
-    return _scalar((w ** alpha).sum(axis=-1)), inner
-
-
 def sqrtm_psd(m) -> np.ndarray:
     return mpow(m, 0.5)
 

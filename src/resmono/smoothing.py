@@ -284,18 +284,26 @@ class _BallProjector:
 # ---------------------------------------------------------------------------
 
 class _SandwichedObjective:
-    """Q(c) = Tr[(A c A)^alpha] with A = sigma^((1-alpha)/(2 alpha))."""
+    """Q(c) = Tr[(A c A)^alpha] with A = sigma^((1-alpha)/(2 alpha)), from the
+    noise-clipped spectrum of each A c A in the stack.
+
+    The gradient is alpha A M A with M = (A c A)^(alpha-1) taken on supp(A c A):
+    the derivative of Q along a Hermitian h supported there is Tr[grad h].
+    """
 
     def __init__(self, sigma: np.ndarray, alpha: float):
         self.alpha = alpha
         self.a = mpow(sigma, (1.0 - alpha) / (2.0 * alpha))
 
     def q(self, c: np.ndarray) -> np.ndarray:
-        return qmat.trace_power(self.a @ c @ self.a, self.alpha)
+        w = qmat.spectral_clip(np.linalg.eigvalsh(hermitize(self.a @ c @ self.a)))
+        return (w ** self.alpha).sum(axis=-1)
 
     def qg(self, c: np.ndarray):
-        qv, inner = qmat.trace_power_grad(self.a @ c @ self.a, self.alpha)
-        return qv, hermitize(self.alpha * self.a @ inner @ self.a)
+        w, u = np.linalg.eigh(hermitize(self.a @ c @ self.a))
+        w = qmat.spectral_clip(w)
+        inner = (u * qmat._support_power(w, self.alpha - 1.0)[..., None, :]) @ dag(u)
+        return (w ** self.alpha).sum(axis=-1), hermitize(self.alpha * self.a @ inner @ self.a)
 
 
 class _PetzObjective:

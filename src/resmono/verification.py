@@ -3,6 +3,11 @@
 Each suite mirrors one module's invariants-and-properties contract; a check
 returns (name, ok, detail) and `run_suites` aggregates them. The CLI exits
 nonzero naming the first failing invariant.
+
+A case holds every fixed instance of its invariant, each drawn at `seed + k`
+so that `--seed 0` reproduces it, and its tolerance; the unit tests do not
+re-check these on instances of their own. tests/test_verification.py runs
+every suite at seed 0.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from . import divergences as dv
 from . import monotones as mn
 from . import qmat
 from . import smoothing as sm
+from .errors import InputError
 
 ALPHA_GRID = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.25, 1.5, 2.0, 3.0]
 
@@ -35,6 +41,11 @@ def _res(suite, name, ok, detail=""):
     return CheckResult(suite=suite, name=name, ok=bool(ok), detail=detail)
 
 
+def _simplex_point(rng, d):
+    p = rng.random(d) + 1e-2
+    return p / p.sum()
+
+
 # ---------------------------------------------------------------------------
 # qmat
 # ---------------------------------------------------------------------------
@@ -42,12 +53,12 @@ def _res(suite, name, ok, detail=""):
 def suite_qmat(seed: int = 0):
     out = []
     worst = 0.0
-    for i in range(20):
-        d = 2 + i % 7
-        rho = qmat.random_state(d, d, seed=seed + i).data
+    for d, k in [(2 + i % 7, i) for i in range(20)] + [(4, 11)]:
+        rho = qmat.random_state(d, d, seed=seed + k).data
         w, u = qmat.eigh(rho)
         worst = max(worst, float(np.max(np.abs((u * w) @ u.conj().T - rho))))
-        worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(d)))))
+        for gram in (u @ u.conj().T, u.conj().T @ u):
+            worst = max(worst, float(np.max(np.abs(gram - np.eye(d)))))
         if np.any(np.diff(w) > 0):
             worst = math.inf
     out.append(_res("qmat", "eigh_reconstruction", worst <= 1e-10, f"max residual {worst:.2e}"))
@@ -68,12 +79,10 @@ def suite_qmat(seed: int = 0):
 
     ok = True
     detail = ""
-    for i in range(40):
-        d = 3
-        a = qmat.random_state(d, d, seed=seed + 1200 + i).data
-        b = qmat.random_state(d, 2, seed=seed + 1500 + i).data
-        if i % 4 == 0:
-            a = 0.9 * a
+    pairs = [(1200 + i, 1500 + i, 0.9 if i % 4 == 0 else 1.0) for i in range(40)]
+    for i, (ka, kb, scale) in enumerate(pairs + [(k, 50 + k, 1.0) for k in range(10)]):
+        a = scale * qmat.random_state(3, 3, seed=seed + ka).data
+        b = qmat.random_state(3, 2, seed=seed + kb).data
         delta = qmat.gen_trace_distance(a, b)
         pd = qmat.purified_distance(a, b)
         if not (delta <= pd + 1e-10 and pd <= math.sqrt(2.0 * delta) + 1e-10):
@@ -100,12 +109,12 @@ def suite_qmat(seed: int = 0):
 def suite_divergences(seed: int = 0):
     out = []
     worst = 0.0
-    for i in range(50):
-        d = 2 + i % 3
-        a = qmat.random_state(d, d, seed=seed + i).data
-        b = qmat.random_state(d, d, seed=seed + 100 + i).data
+    for d, ka, kb in [(2 + i % 3, i, 100 + i) for i in range(50)] + [(3, 20, 21)]:
+        a = qmat.random_state(d, d, seed=seed + ka).data
+        b = qmat.random_state(d, d, seed=seed + kb).data
         vals = [dv.sandwiched(a, b, al) for al in ALPHA_GRID]
-        worst = max(worst, float(np.max(-np.diff(vals))))
+        # drop below the running maximum: checks every sub-grid of ALPHA_GRID too
+        worst = max(worst, float(np.max(np.maximum.accumulate(vals) - vals)))
     out.append(_res("divergences", "alpha_monotonicity", worst <= 1e-9, f"max drop {worst:.2e}"))
 
     worst = 0.0
@@ -133,14 +142,12 @@ def suite_divergences(seed: int = 0):
     out.append(_res("divergences", "tensor_additivity", worst <= 1e-9, f"max dev {worst:.2e}"))
 
     worst = 0.0
-    rng = np.random.default_rng(seed + 42)
-    for i in range(20):
-        d = 2 + i % 4
-        p = rng.random(d) + 1e-2
-        p = p / p.sum()
-        g = rng.random(d) + 1e-2
-        g = g / g.sum()
-        al = 0.5 + 0.499 * rng.random()
+    rng_a, rng_b = np.random.default_rng(seed + 42), np.random.default_rng(seed)
+    draws = [(rng_a, 2 + i % 4, 0.499) for i in range(20)] + [(rng_b, 3, 0.49)] * 10
+    for rng, d, width in draws:
+        p = _simplex_point(rng, d)
+        g = _simplex_point(rng, d)
+        al = 0.5 + width * rng.random()
         lhs = dv.classical_renyi(g, p, al)
         rhs = (al / (1.0 - al)) * dv.classical_renyi(p, g, 1.0 - al)
         worst = max(worst, abs(lhs - rhs))
@@ -155,45 +162,74 @@ def suite_divergences(seed: int = 0):
 
 def suite_smoothing(seed: int = 0):
     out = []
-    rho = qmat.random_state(3, 1, seed=seed + 1).data
-    sig = qmat.random_state(3, 3, seed=seed + 2).data
-    worst_p, worst_tr = 0.0, 0.0
-    for ball in sm.Ball:
-        spec = sm.SmoothingSpec(epsilon=0.1, alpha=0.75, ball=ball, restarts=4,
-                                max_iters=200, seed=seed)
-        sv = sm.smoothed_sandwiched(rho, sig, spec)
-        if ball is sm.Ball.SUBNORMALIZED_TRACE:
-            dist = qmat.gen_trace_distance(sv.optimizer, rho)
-        else:
-            dist = qmat.purified_distance(sv.optimizer, rho)
-        worst_p = max(worst_p, dist - 0.1)
-        worst_tr = max(worst_tr, float(np.trace(sv.optimizer).real) - 1.0)
+    # (rho rank, rho seed, sigma seed, eps, alpha, max_iters)
+    instances = [(1, 1, 2, 0.1, 0.75, 200), (2, 5, 6, 0.15, 0.6, 250)]
+    worst_p, worst_tr, worst_norm = 0.0, 0.0, 0.0
+    for rank, kr, ks, eps, alpha, iters in instances:
+        rho = qmat.random_state(3, rank, seed=seed + kr).data
+        sig = qmat.random_state(3, 3, seed=seed + ks).data
+        for ball in sm.Ball:
+            spec = sm.SmoothingSpec(epsilon=eps, alpha=alpha, ball=ball, restarts=4,
+                                    max_iters=iters, seed=seed)
+            sv = sm.smoothed_sandwiched(rho, sig, spec)
+            if sv.optimizer is None:
+                worst_p = math.inf
+                continue
+            if ball is sm.Ball.SUBNORMALIZED_TRACE:
+                dist = qmat.gen_trace_distance(sv.optimizer, rho)
+            else:
+                dist = qmat.purified_distance(sv.optimizer, rho)
+            tr = float(np.trace(sv.optimizer).real)
+            worst_p = max(worst_p, dist - eps)
+            worst_tr = max(worst_tr, tr - 1.0)
+            if ball is sm.Ball.NORMALIZED_PURIFIED:
+                worst_norm = max(worst_norm, abs(tr - 1.0))
     out.append(_res("smoothing", "ball_membership",
-                    worst_p <= 1e-8 and worst_tr <= 1e-10,
-                    f"dist slack {worst_p:.2e}, trace slack {worst_tr:.2e}"))
+                    worst_p <= 1e-8 and worst_tr <= 1e-10 and worst_norm <= 1e-10,
+                    f"dist slack {worst_p:.2e}, trace slack {worst_tr:.2e}, "
+                    f"normalized |tr - 1| {worst_norm:.2e}"))
 
-    vals = []
-    prev = None
-    for eps in (0.02, 0.05, 0.1, 0.2):
-        spec = sm.SmoothingSpec(epsilon=eps, alpha=0.75, restarts=4, max_iters=200, seed=seed)
-        sv = sm.smoothed_sandwiched(rho, sig, spec,
-                                    warm_starts=[prev] if prev is not None else None)
-        vals.append(sv.value)
-        prev = sv.optimizer
-    drops = float(np.max(-np.diff(vals)))
+    drops = -math.inf
+    for kr, ks, iters in [(1, 2, 200), (7, 8, 250)]:
+        rho = qmat.random_state(3, 1, seed=seed + kr).data
+        sig = qmat.random_state(3, 3, seed=seed + ks).data
+        vals = []
+        prev = None
+        for eps in (0.02, 0.05, 0.1, 0.2):
+            spec = sm.SmoothingSpec(epsilon=eps, alpha=0.75, restarts=4, max_iters=iters,
+                                    seed=seed)
+            sv = sm.smoothed_sandwiched(rho, sig, spec,
+                                        warm_starts=[prev] if prev is not None else None)
+            vals.append(sv.value)
+            prev = sv.optimizer
+        drops = max(drops, float(np.max(-np.diff(vals))))
     out.append(_res("smoothing", "eps_monotonicity", drops <= 1e-8, f"max drop {drops:.2e}"))
 
     rows = sm.appendix_b_suite(restarts=6, max_iters=300, seed=seed)
-    by = {r.case: r.value_bits for r in rows}
-    inv = abs(by["sandwiched_subnormalized_2d"] - by["sandwiched_subnormalized_3d"])
+    by = {r.case: r for r in rows}
+    inv = abs(by["sandwiched_subnormalized_2d"].value_bits
+              - by["sandwiched_subnormalized_3d"].value_bits)
     out.append(_res("smoothing", "embedding_invariance_subnormalized", inv <= 1e-6,
                     f"|d2 - d3| = {inv:.2e}"))
 
     alpha, eps = 0.75, 0.1
-    gap = by["sandwiched_normalized_3d"] - by["sandwiched_normalized_2d"]
-    target = (alpha / (1.0 - alpha)) * (-math.log2(1.0 - eps * eps))
+    gap = by["sandwiched_normalized_3d"].value_bits - by["sandwiched_normalized_2d"].value_bits
+    shift = -math.log2(1.0 - eps * eps)
+    target = (alpha / (1.0 - alpha)) * shift
     out.append(_res("smoothing", "normalized_ball_gap", abs(gap - target) <= 1e-6,
                     f"gap {gap:.8f} vs {target:.8f}"))
+
+    # the closed forms, written out here independently of appendix_b_suite's targets
+    closed = {"sandwiched_normalized_2d": 1.0, "petz_normalized_2d": 1.0}
+    dev = max(abs(r.value_bits - closed.get(r.case, 1.0 + target))
+              for r in rows if r.comparison == "eq")
+    petz_slack = by["petz_normalized_3d"].value_bits - (1.0 + shift / (1.0 - alpha))
+    pure = (1.0 - eps * eps) * np.diag([1.0, 0.0])
+    opt_dev = float(np.max(np.abs(by["sandwiched_subnormalized_2d"].optimizer - pure)))
+    out.append(_res("smoothing", "appendix_b_closed_forms",
+                    dev <= 1e-6 and petz_slack >= -1e-6 and opt_dev <= 1e-6,
+                    f"max eq dev {dev:.2e}, petz_normalized_3d slack {petz_slack:.2e}, "
+                    f"optimizer dev {opt_dev:.2e}"))
     return out
 
 
@@ -258,18 +294,17 @@ def suite_monotones(seed: int = 0):
                     f"max |gap| {worst:.2e}"))
 
     worst = 0.0
-    for i in range(10):
-        d = 2 + i % 4
-        rho = qmat.random_state(d, d, seed=seed + 800 + i).data
+    for d, k in [(2 + i % 4, 800 + i) for i in range(10)] + [(n, 40 + n) for n in (2, 3, 4, 5)]:
+        rho = qmat.random_state(d, d, seed=seed + k).data
         p = mn.fidelity_coherence_primal(rho, restarts=6, seed=seed).value
         dl = mn.fidelity_coherence_dual(rho, restarts=6, seed=seed).value
         worst = max(worst, abs(p - dl))
     out.append(_res("monotones", "primal_dual_agreement", worst <= 1e-5, f"max gap {worst:.2e}"))
 
     worst = 0.0
-    for i in range(4):
-        rho = qmat.random_state(3, 3, seed=seed + 900 + i).data
-        gam = qmat.random_classical(3, seed=seed + 950 + i)
+    for kr, kg in [(900 + i, 950 + i) for i in range(4)] + [(60 + i, 70 + i) for i in range(4)]:
+        rho = qmat.random_state(3, 3, seed=seed + kr).data
+        gam = qmat.random_classical(3, seed=seed + kg)
         th_a = mn.Athermality(np.diag(gam.probs.astype(complex)))
         for th in (th_a, mn.Coherence()):
             rob = mn.generalized_robustness(rho, th)
@@ -291,21 +326,20 @@ def suite_constructions(seed: int = 0):
     rng = np.random.default_rng(seed + 3)
     gammas = [[Fraction(7, 10), Fraction(2, 10), Fraction(1, 10)],
               [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]]
-    for gam in gammas:
+    cases = [(gam, _simplex_point(rng, 3)) for gam in gammas for _ in range(4)]
+    cases.append((gammas[0], np.array([2 / 3, 1 / 12, 1 / 4])))
+    for gam, p in cases:
         gv = np.array([float(x) for x in gam])
         _, blocks = cs.embedding_blocks(gam)
         den = sum(blocks)
         uni = np.full(den, 1.0 / den)
-        for _ in range(4):
-            p = rng.random(3) + 1e-2
-            p = p / p.sum()
-            phat = cs.embedding_channel(p, gam).probs
-            for al in (0.5, 0.8, 1.0, 2.0, math.inf):
-                worst = max(worst, abs(dv.classical_renyi(p, gv, al)
-                                       - dv.classical_renyi(phat, uni, al)))
-            fa = np.sqrt(p * gv).sum()
-            fb = np.sqrt(phat * uni).sum()
-            worst = max(worst, abs(fa - fb))
+        phat = cs.embedding_channel(p, gam).probs
+        for al in (0.5, 0.8, 1.0, 2.0, math.inf):
+            worst = max(worst, abs(dv.classical_renyi(p, gv, al)
+                                   - dv.classical_renyi(phat, uni, al)))
+        fa = np.sqrt(p * gv).sum()
+        fb = np.sqrt(phat * uni).sum()
+        worst = max(worst, abs(fa - fb))
     out.append(_res("constructions", "embedding_preserves_divergences", worst <= 1e-12,
                     f"max dev {worst:.2e}"))
 
@@ -427,6 +461,9 @@ SUITES = {
 def run_suites(names, seed: int = 0):
     if "all" in names:
         names = list(SUITES)
+    unknown = [n for n in names if n not in SUITES]
+    if unknown:
+        raise InputError(f"unknown suite {unknown[0]!r}; known suites: all, {', '.join(SUITES)}")
     results = []
     for name in names:
         results.extend(SUITES[name](seed))

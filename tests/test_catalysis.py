@@ -113,16 +113,6 @@ def test_exponent_classical_positive_and_formula():
     assert abs(got - expected) <= 1e-15
 
 
-def test_exponent_copy_scaling_exact():
-    g1 = ct.error_exponent_first_order(P1, Q1, P2, Q2)
-    for a in (2, 3):
-        pa, qa, pb, qb = P1, Q1, P2, Q2
-        for _ in range(a - 1):
-            pa, qa = np.kron(pa, P1), np.kron(qa, Q1)
-            pb, qb = np.kron(pb, P2), np.kron(qb, Q2)
-        assert abs(ct.error_exponent_first_order(pa, qa, pb, qb) - a * g1) <= 1e-12
-
-
 def test_exponent_degenerate_variance():
     u = np.array([0.5, 0.5])
     with pytest.raises(DegenerateVariance):

@@ -205,6 +205,14 @@ def test_verify_fast_suite_exit_zero():
     assert "FAIL" not in out
 
 
+def test_verify_takes_no_output_options(tmp_path):
+    out = tmp_path / "f.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "qmat", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["monotone"])     # missing required --theory
@@ -299,6 +307,9 @@ def run_cli_err(argv):
     ["monotone", "--theory", "coherence", "--alpha", "inf", "--state", "{trace_two}"],
     ["monotone", "--theory", "coherence", "--alpha", "inf", "--state", "{nan_entry}"],
     ["divergence", "--rho", "{nan_entry}", "--sigma", "{state2}"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--suite", ""],
+    ["monotone", "--theory", "coherence", "--alpha", "0.5", "--p=inf,-inf"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -314,9 +325,13 @@ def run_cli_err(argv):
         "monotone_zero_p_alpha_two", "monotone_zero_p_alpha_inf", "pairs_eps_param_minus_inf",
         "pairs_coh_eps_inf", "pairs_coh_dim_zero", "pairs_mu_nan", "sweep_gamma_nan_first",
         "sweep_gamma_nan_second", "monotone_alpha_minus_inf", "monotone_state_not_state",
-        "monotone_state_trace_two", "monotone_state_nan_entry", "divergence_rho_nan_entry"])
+        "monotone_state_trace_two", "monotone_state_nan_entry", "divergence_rho_nan_entry",
+        "verify_unknown_suite", "verify_empty_suite", "monotone_p_inf_minus_inf"])
 def test_bad_input_exit_two(argv, matrix_files):
-    code, _, err = run_cli_err(_with_files(argv, matrix_files))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli_err(_with_files(argv, matrix_files))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("usage error: ")
@@ -464,6 +479,13 @@ FUZZ_SIZED_ARGV = {
         st.integers(-2, 100), FUZZ_FLOATS, st.integers(-1, 6), FUZZ_FLOATS,
         st.integers(-1, 6), FUZZ_FLOATS, st.one_of(st.none(), FUZZ_FLOATS)),
 }
+
+
+@pytest.mark.parametrize("p, gamma", [("1.0,0.0,0.0", "2.225073858507e-311,0.5,0.5"),
+                                      ("0.0,0.0,1.0", "0.5,2.225073858507e-311,0.5")])
+def test_regions_subnormal_gamma_exits_clean(p, gamma):
+    # p / gamma overflows in the FO ordering of p, then of a grid point (found by the fuzz below)
+    _assert_clean_exit(["regions", f"--p={p}", f"--gamma={gamma}", "--grid=1", "--alpha-points=1"])
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_SIZED_ARGV))

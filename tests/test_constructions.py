@@ -34,18 +34,6 @@ def test_embedding_fig1_block_structure():
     assert np.allclose(phat[9:], 1 / 4)
 
 
-def test_embedding_preserves_divergences_and_fidelity():
-    p = np.array([2 / 3, 1 / 12, 1 / 4])
-    phat = cs.embedding_channel(p, FIG1_GAMMA_FRAC).probs
-    uniform = np.full(10, 0.1)
-    for alpha in (0.5, 0.8, 1.0, 2.0, math.inf):
-        assert abs(dv.classical_renyi(p, FIG1_GAMMA, alpha)
-                   - dv.classical_renyi(phat, uniform, alpha)) <= 1e-12
-    f_before = np.sqrt(p * FIG1_GAMMA).sum()
-    f_after = np.sqrt(phat * uniform).sum()
-    assert abs(f_before - f_after) <= 1e-12
-
-
 def test_embedding_rejects_bad_inputs():
     with pytest.raises(NotRational):
         cs.embedding_channel(np.array([0.5, 0.5]), [0.5, 0.5])

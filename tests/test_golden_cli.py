@@ -33,6 +33,7 @@ GOLDEN = {
     "divergence_petz": f"divergence --kind petz --alpha 0.75 --p {P} --q {Q}",
     "monotone": "monotone --theory coherence --alpha 0.5 --p 0.5,0.3,0.2",
     "smooth_appendix_b": "smooth --appendix-b",
+    "regions": "regions --p 2/3,1/12,3/12 --gamma 7/10,2/10,1/10 --grid 20",
     "sweep": "sweep --gamma 0.999,0.001 --level 2.0 --grid 400",
     **{f"monotone_athermality_{a}": f"{ATHERMAL} {a}" for a in ("0.5", "1", "2", "inf")},
     "pairs": "pairs --which all",

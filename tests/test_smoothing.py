@@ -51,30 +51,6 @@ def test_dimension_cap():
         sm.smoothed_sandwiched(big, big, small_spec(0.1, 0.75))
 
 
-def test_appendix_b_closed_forms():
-    alpha, eps = 0.75, 0.1
-    rows = sm.appendix_b_suite(alpha=alpha, epsilon=eps, restarts=6, max_iters=300)
-    by = {r.case: r for r in rows}
-    shifted = 1.0 - (alpha / (1.0 - alpha)) * math.log2(1.0 - eps ** 2)
-    # row (3) target equals 1 + 3 * (-log2 0.99) at these parameters
-    assert abs(shifted - (1.0 + 3.0 * (-math.log2(0.99)))) <= 1e-12
-    assert abs(by["sandwiched_normalized_2d"].value_bits - 1.0) <= 1e-6
-    assert abs(by["sandwiched_normalized_3d"].value_bits - shifted) <= 1e-6
-    assert abs(by["sandwiched_subnormalized_2d"].value_bits - shifted) <= 1e-6
-    assert abs(by["sandwiched_subnormalized_3d"].value_bits - shifted) <= 1e-6
-    assert abs(by["petz_normalized_2d"].value_bits - 1.0) <= 1e-6
-    petz_target = 1.0 - (1.0 / (1.0 - alpha)) * math.log2(1.0 - eps ** 2)
-    assert by["petz_normalized_3d"].value_bits >= petz_target - 1e-6
-    assert abs(by["petz_subnormalized_2d"].value_bits - shifted) <= 1e-6
-
-
-def test_appendix_b_optimizer_is_scaled_pure_state():
-    rows = sm.appendix_b_suite(restarts=6, max_iters=300)
-    opt = {r.case: r.optimizer for r in rows}["sandwiched_subnormalized_2d"]
-    target = (1.0 - 0.1 ** 2) * np.diag([1.0, 0.0])
-    assert np.max(np.abs(opt - target)) <= 1e-6
-
-
 def _assert_optimizer_in_ball(rho, sig, eps, ball):
     sv = sm.smoothed_sandwiched(rho, sig, small_spec(eps, 0.6, ball=ball))
     assert sv.optimizer is not None
@@ -86,13 +62,6 @@ def _assert_optimizer_in_ball(rho, sig, eps, ball):
         assert qmat.purified_distance(sv.optimizer, rho) <= eps + 1e-8
     if ball is sm.Ball.NORMALIZED_PURIFIED:
         assert abs(tr - 1.0) <= 1e-10
-
-
-def test_ball_membership_and_trace():
-    rho = qmat.random_state(3, 2, seed=5).data
-    sig = qmat.random_state(3, 3, seed=6).data
-    for ball in sm.Ball:
-        _assert_optimizer_in_ball(rho, sig, 0.15, ball)
 
 
 @pytest.mark.parametrize("ball", list(sm.Ball), ids=lambda b: b.value)
@@ -663,18 +632,6 @@ def test_petz_pullback_raises_the_left_side(monkeypatch):
     without = check()
     assert with_pullback.lifted and not without.lifted
     assert with_pullback.lhs >= without.lhs + 0.03
-
-
-def test_eps_monotonicity_with_warm_starts():
-    rho = qmat.random_state(3, 1, seed=7).data
-    sig = qmat.random_state(3, 3, seed=8).data
-    prev, vals = None, []
-    for eps in (0.02, 0.05, 0.1, 0.2):
-        sv = sm.smoothed_sandwiched(rho, sig, small_spec(eps, 0.75),
-                                    warm_starts=[prev] if prev is not None else None)
-        vals.append(sv.value)
-        prev = sv.optimizer
-    assert all(vals[i + 1] >= vals[i] - 1e-8 for i in range(len(vals) - 1))
 
 
 def test_min_smoothing_alpha_above_one():
