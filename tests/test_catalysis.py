@@ -268,3 +268,7 @@ def test_eps_outside_unit_interval_rejected(eps):
         ct.catalyst_q_bound(rep.rho, rep.rho_prime, th, 0.5, eps)
     with pytest.raises(ValueError):
         ct.scaling_curve(rep.rho, rep.rho_prime, th, [1e-2, eps], alpha=0.5)
+
+
+def test_exponent_copy_scaling_exact(verify_case):
+    verify_case("catalysis", "exponent_copy_scaling")

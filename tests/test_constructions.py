@@ -459,3 +459,7 @@ def test_classify_regions_matches_full_matrix_reference(grid_n, alpha_points, ra
                            "RED": int(red.sum())}
     assert grid.nesting_violations == int(np.sum(fo & ~co) + np.sum(co & ~cco))
     assert (grid.oracle_disagreements == 0) if rational else grid.oracle_disagreements is None
+
+
+def test_embedding_preserves_divergences_and_fidelity(verify_case):
+    verify_case("constructions", "embedding_preserves_divergences")

@@ -280,3 +280,11 @@ def test_classical_dmax_drops_mass_below_overlap_tolerance():
     # with no mass left on supp(q), both read -inf
     tiny, q = np.array([1e-13, 0.0]), np.array([0.0, 1.0])
     assert dv.dmax(tiny, q) == dv.dmax(np.diag(tiny), np.diag(q)) == -math.inf
+
+
+def test_alpha_monotonicity_spot(verify_case):
+    verify_case("divergences", "alpha_monotonicity")
+
+
+def test_classical_skew_symmetry_identity(verify_case):
+    verify_case("divergences", "classical_skew_identity")

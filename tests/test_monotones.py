@@ -619,3 +619,11 @@ def test_dephasing_covariant_channel_preserves_diagonal():
     out = qmat.apply_channel(diag, ch)
     off = out - np.diag(np.diag(out))
     assert np.max(np.abs(off)) <= 1e-12
+
+
+def test_robustness_chain_random(verify_case):
+    verify_case("monotones", "robustness_chain")
+
+
+def test_primal_dual_agreement_random(verify_case):
+    verify_case("monotones", "primal_dual_agreement")

@@ -250,3 +250,11 @@ def test_non_finite_matrices_rejected(m):
             qmat.DensityOperator(np.array(m))
         with pytest.raises(ValueError, match="NaN or infinite"):
             qmat._check_psd(np.array(m, dtype=complex))
+
+
+def test_eigh_reconstruction_random(verify_case):
+    verify_case("qmat", "eigh_reconstruction")
+
+
+def test_trace_distance_below_purified_distance(verify_case):
+    verify_case("qmat", "distance_inequalities")

@@ -838,3 +838,19 @@ def test_dp_check_half_channel_side_only_runs_the_engine():
     # both sides run the engine: the values it gave before the closed form existed
     assert abs(res.lhs - 0.5204418912719756) <= 1e-12
     assert abs(res.rhs - 0.24168934611504767) <= 1e-12
+
+
+def test_eps_monotonicity_with_warm_starts(verify_case):
+    verify_case("smoothing", "eps_monotonicity")
+
+
+def test_ball_membership_and_trace(verify_case):
+    verify_case("smoothing", "ball_membership")
+
+
+def test_appendix_b_closed_forms(verify_case):
+    verify_case("smoothing", "appendix_b_closed_forms")
+
+
+def test_appendix_b_optimizer_is_scaled_pure_state(verify_case):
+    verify_case("smoothing", "appendix_b_closed_forms")
