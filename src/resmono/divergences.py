@@ -20,6 +20,7 @@ diagonal.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,6 +30,12 @@ from .qmat import asmat, eigh, hermitize, mpow, nuclear_norm, sqrtm_psd
 
 ALPHA_ONE_WINDOW = 1e-6  # |alpha - 1| below this dispatches to umegaki
 OVERLAP_TOL = 1e-12
+# For entries of p and q in (0, 1], the one factor of p^alpha q^(1-alpha) that
+# can exceed 1 is at most 2^(1074 g), g = -alpha or alpha - 1. While
+# |alpha - 1/2| <= POW_SAFE_RADIUS it stays below max_float / (e * maxsize), so
+# neither a term nor a sum of as many terms as an array can hold overflows.
+POW_SAFE_RADIUS = 0.5 + ((math.log(sys.float_info.max) - math.log(sys.maxsize) - 1.0)
+                         / -math.log(math.ulp(0.0)))
 
 
 def _mass(rho: np.ndarray, sigma: np.ndarray, on_support: bool) -> float:
@@ -207,14 +214,17 @@ def classical_renyi(p, q, alpha: float) -> float:
     if alpha > 1.0 and np.any(_off_support(pv, qv)):
         return math.inf
     mask = (pv > 0) & (qv > 0)   # for alpha > 1, mass below tolerance on ker(q) is dropped
-    s = float((pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)).sum())
+    if abs(alpha - 0.5) <= POW_SAFE_RADIUS:
+        s = float((pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)).sum())
+    else:                           # a power may leave the float range: resummed below
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float((pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)).sum())
     if not 0.0 < s < math.inf:      # a NaN order always lands here
         if math.isnan(alpha):
             raise AlphaOutOfRange(f"classical Renyi divergence needs a real order or +inf, got {alpha}")
-        if mask.any():
-            return _renyi_log_domain(pv[mask], qv[mask], alpha)
-    if alpha < 1.0 and s <= 0.0:
-        return math.inf
+        if not mask.any():          # no mass where both are positive: s is 0
+            return math.inf if alpha < 1.0 else -math.inf
+        return _renyi_log_domain(pv[mask], qv[mask], alpha)
     return float(np.log2(s)) / (alpha - 1.0)
 
 

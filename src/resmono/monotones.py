@@ -11,7 +11,8 @@ and a dual Alberti-type form
 whose optimizers cross-validate each other. The dual starts at the Uhlmann
 transition operator of the primal optimum, which the KKT conditions of the
 primal make dual-optimal, and one L-BFGS-B run polishes it before the value
-is certified.
+is certified. The primal keeps its last argmax, so a dual called right after
+the primal on the same arguments does not repeat the descent.
 
 The coherence monotones and the primal are found by entropic mirror descent
 on the divergence D_alpha(rho || diag q) over the simplex (_mirror_opt,
@@ -263,12 +264,26 @@ class CoherenceDual:
     argmin_r: np.ndarray
 
 
+# the key and a copy of the argmax of the latest fidelity_coherence_primal call,
+# which fidelity_coherence_dual takes as its warm start instead of descending
+# again. The pair is replaced whole and its array is never written, so a
+# concurrent caller can at worst miss it and run the primal itself.
+_last_primal = (None, None)
+
+
+def _primal_key(r: np.ndarray, restarts, seed):
+    """Everything that decides the primal's result."""
+    return r.shape, r.dtype.str, r.tobytes(), restarts, seed
+
+
 def fidelity_coherence_primal(rho, restarts: int = 10, seed: int = 0) -> CoherencePrimal:
     """max over diagonal sigma of F(rho, sigma), as 2^-d for the least
     d = D_1/2(rho || sigma) = -log2 F(rho, sigma): the mirror descent of
     coherence_monotone at order 1/2, on a longer budget (PRIMAL_ITERS)."""
+    global _last_primal
     r = asmat(rho)
     d, q = _mirror_opt(*_coherence_obj(r, 0.5), _simplex_starts(r, restarts, seed), PRIMAL_ITERS)
+    _last_primal = (_primal_key(r, restarts, seed), None if q is None else q.copy())
     return CoherencePrimal(value=float(2.0 ** -d), argmax=q)
 
 
@@ -287,7 +302,9 @@ def fidelity_coherence_dual(rho, restarts: int = 10, seed: int = 0) -> Coherence
     so Alberti's objective at R = M is F_coh itself. N starts as
     (M + floor*I)^1/2, with q floored at DUAL_FLOOR: the start is finite, and
     a zero row of rho leaves no zero row in N. `restarts` and `seed` steer the
-    primal descent (fidelity_coherence_primal) that supplies q.
+    primal descent (fidelity_coherence_primal) that supplies q. When the last
+    primal call was on the same rho, restarts and seed, as it is wherever the
+    pair is certified, its argmax is reused instead of descending again.
 
     The optimizer's objective is not the reported value: near the optimum R
     is nearly singular, and a float evaluation of Tr[rho R^-1] there can fall
@@ -320,7 +337,10 @@ def fidelity_coherence_dual(rho, restarts: int = 10, seed: int = 0) -> Coherence
         return (float(np.trace(r @ inv).real) * (1.0 + DUAL_FLOOR),
                 np.concatenate([g.real, g.imag]).ravel())
 
-    s = np.sqrt(np.clip(fidelity_coherence_primal(r, restarts, seed).argmax, DUAL_FLOOR, None))
+    key, q = _last_primal
+    if key != _primal_key(r, restarts, seed):
+        q = fidelity_coherence_primal(r, restarts, seed).argmax
+    s = np.sqrt(np.clip(q, DUAL_FLOOR, None))
     trans = hermitize(qmat.sqrtm_psd(s[:, None] * r * s[None, :]) / np.outer(s, s))
     m0 = qmat.sqrtm_psd(trans + DUAL_FLOOR * eye)
     fit = optimize.minimize(obj_grad, np.concatenate([m0.real, m0.imag]).ravel(), jac=True,

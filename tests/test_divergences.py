@@ -204,18 +204,108 @@ def test_quantum_divergences_reject_mismatched_shapes():
             call()
 
 
+def mp_renyi(p, q, alpha):
+    """The Renyi divergence of two vectors at 60 digits, with classical_renyi's
+    support rule: for alpha > 1, p-mass up to OVERLAP_TOL where q is 0 is
+    dropped and more makes it +inf; entries where p or q is 0 add nothing."""
+    import mpmath
+    with mpmath.workdps(60):
+        if alpha > 1.0 and any(pi > dv.OVERLAP_TOL and qi == 0.0 for pi, qi in zip(p, q)):
+            return math.inf
+        a = mpmath.mpf(alpha)
+        s = sum(mpmath.mpf(pi) ** a * mpmath.mpf(qi) ** (1 - a)
+                for pi, qi in zip(p, q) if pi > 0.0 and qi > 0.0)
+        if s == 0:
+            return math.inf if alpha < 1.0 else -math.inf
+        return float(mpmath.log(s, 2) / (a - 1))
+
+
 @pytest.mark.parametrize("alpha", [1075.0, 1e5, 1e300, -1e3, -1e300])
 def test_classical_renyi_extreme_orders(alpha):
     # p^alpha q^(1-alpha) under- or overflows here; the sum is taken in the log domain
-    import mpmath
-    mpmath.mp.dps = 60
     p, q = [0.5, 0.3, 0.2], [0.3, 0.6, 0.1]
-    a = mpmath.mpf(alpha)
-    s = sum(mpmath.mpf(pi) ** a * mpmath.mpf(qi) ** (1 - a) for pi, qi in zip(p, q))
-    expected = float(mpmath.log(s, 2) / (a - 1))
+    expected = mp_renyi(p, q, alpha)
     got = dv.classical_renyi(np.array(p), np.array(q), alpha)
     assert math.isfinite(got)
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("p, q, alpha, expected", [
+    ([0.5, 0.5], [0.3, 0.7], 1075.0, 0.7360344954697444),
+    ([0.5, 0.5], [0.3, 0.7], -1075.0, -0.4844974591405019),
+    ([0.5, 0.5], [1e-300, 1.0], 3.0, 995.0784284662087),
+    ([1e-13, 0.0], [0.0, 1.0], 2.0, -math.inf),
+])
+def test_classical_renyi_prints_no_warning(p, q, alpha, expected):
+    # a power over- or underflows, or no mass is left where both are positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dv.classical_renyi(np.array(p), np.array(q), alpha) == expected
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_classical_renyi_power_gate_edges(side, monkeypatch):
+    # on the last order inside |alpha - 1/2| <= POW_SAFE_RADIUS the plain sum
+    # stays finite on the worst entry, the least subnormal; the next order out
+    # is guarded
+    guards = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: guards.append(kw) or errstate(**kw))
+    away = math.inf if side == "upper" else -math.inf
+    outside = 0.5 + math.copysign(dv.POW_SAFE_RADIUS, away)
+    while abs(outside - 0.5) <= dv.POW_SAFE_RADIUS:
+        outside = math.nextafter(outside, away)
+    inside = math.nextafter(outside, 0.5)
+    tiny = math.ulp(0.0)
+    p, q = ([0.5, 0.5], [1.0, tiny]) if side == "upper" else ([1.0, tiny], [0.5, 0.5])
+    for alpha, guarded in ((inside, 0), (outside, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dv.classical_renyi(np.array(p), np.array(q), alpha)
+        expected = mp_renyi(p, q, alpha)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+        assert len(guards) == guarded
+        guards.clear()
+
+
+def _near_tolerance_pairs():
+    # a third entry eps of p on ker(q), of q under mass of p, or of both, at
+    # 0.5, 1 and 2 times OVERLAP_TOL and the spectral-clip floor KERNEL_TOL
+    for tol_name, tol in (("overlap", dv.OVERLAP_TOL), ("clip", qmat.KERNEL_TOL)):
+        for t in (0.5, 1.0, 2.0):
+            eps = t * tol
+            yield f"p_on_ker_q-{t}x{tol_name}", [0.6 - eps, 0.4, eps], [0.5, 0.5, 0.0]
+            yield f"q_small-{t}x{tol_name}", [0.6, 0.3, 0.1], [0.5 - eps / 2, 0.5 - eps / 2, eps]
+            yield f"both_small-{t}x{tol_name}", [0.6 - eps, 0.4, eps], [0.5 - eps / 2, 0.5 - eps / 2, eps]
+
+
+_SIGMA_KERNEL_FAULT = pytest.mark.xfail(
+    strict=True, reason="sandwiched treats a sigma eigenvalue <= KERNEL_TOL as kernel for "
+    "alpha < 1, and one <= SUPPORT_RTOL times the largest as kernel for alpha > 1")
+
+
+def _near_tolerance_cases():
+    for name, p, q in _near_tolerance_pairs():
+        yield pytest.param("classical", p, q, id=f"classical-{name}")
+        marks = _SIGMA_KERNEL_FAULT if name.startswith("q_small") and "clip" in name else ()
+        yield pytest.param("sandwiched", p, q, id=f"sandwiched-{name}", marks=marks)
+
+
+@pytest.mark.parametrize("kind, p, q", _near_tolerance_cases())
+def test_divergences_near_the_support_tolerance(kind, p, q):
+    # the classical path and the quantum one on the diagonal embeddings,
+    # against 60 digits, within test_sandwiched_huge_orders' 1e-9
+    for alpha in (0.5, 0.75, 0.99, 1.5, 2.0, 5.0):
+        if kind == "classical":
+            got = dv.classical_renyi(np.array(p), np.array(q), alpha)
+        else:
+            got = dv.sandwiched(np.diag(np.array(p, dtype=complex)),
+                                np.diag(np.array(q, dtype=complex)), alpha)
+        expected = mp_renyi(p, q, alpha)
+        if math.isinf(expected):
+            assert got == expected
+        else:
+            assert abs(got - expected) <= 1e-9
 
 
 @pytest.mark.parametrize("alpha", [1e3, 1e5, 1e300])

@@ -467,6 +467,80 @@ def test_transition_operator_alone_nearly_certifies(monkeypatch):
     assert worst <= 1e-4
 
 
+def _count_descents(monkeypatch):
+    """Count the _mirror_opt calls from here on, with no primal left to reuse."""
+    calls = []
+    descend = mn._mirror_opt
+
+    def spy(*args):
+        calls.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(mn, "_mirror_opt", spy)
+    monkeypatch.setattr(mn, "_last_primal", (None, None))
+    return calls
+
+
+def test_dual_reuses_the_primal_just_computed(monkeypatch):
+    calls = _count_descents(monkeypatch)
+    rho = qmat.random_state(4, 4, seed=61).data
+    mn.fidelity_coherence_primal(rho, restarts=6, seed=3)
+    mn.fidelity_coherence_dual(rho, restarts=6, seed=3)
+    assert len(calls) == 1
+    # the key is the matrix's bytes, not the object
+    mn.fidelity_coherence_dual(rho.copy(), restarts=6, seed=3)
+    assert len(calls) == 1
+
+
+def test_dual_descends_after_a_primal_on_other_arguments(monkeypatch):
+    calls = _count_descents(monkeypatch)
+    rho = qmat.random_state(3, 3, seed=62).data
+    other = qmat.random_state(3, 3, seed=63).data
+    for args in ((other, 6, 3), (rho, 6, 4), (rho, 5, 3)):
+        mn.fidelity_coherence_primal(rho, restarts=6, seed=3)
+        before = len(calls)
+        mn.fidelity_coherence_dual(args[0], restarts=args[1], seed=args[2])
+        assert len(calls) == before + 1
+    # nor after rho changes in place
+    mn.fidelity_coherence_primal(rho, restarts=6, seed=3)
+    rho[0, 0], rho[1, 1] = rho[1, 1], rho[0, 0]
+    mn.fidelity_coherence_dual(rho, restarts=6, seed=3)
+    assert len(calls) == 8
+
+
+def test_dual_ignores_a_mutated_primal_argmax(monkeypatch):
+    _count_descents(monkeypatch)
+    rho = qmat.random_state(3, 3, seed=64).data
+    fresh = mn.fidelity_coherence_dual(rho, restarts=6, seed=2)
+    res = mn.fidelity_coherence_primal(rho, restarts=6, seed=2)
+    res.argmax[:] = [1.0, 0.0, 0.0]
+    again = mn.fidelity_coherence_dual(rho, restarts=6, seed=2)
+    assert again.value == fresh.value
+    assert np.array_equal(again.argmin_r, fresh.argmin_r)
+
+
+def test_primal_records_a_missing_argmax(monkeypatch):
+    # _mirror_opt returns no argument when no value is finite
+    monkeypatch.setattr(mn, "_mirror_opt", lambda *args: (math.inf, None))
+    res = mn.fidelity_coherence_primal(plus_state(3), restarts=2)
+    assert res.value == 0.0 and res.argmax is None
+
+
+def test_dual_same_bits_with_and_without_the_primal_first(monkeypatch):
+    # on the criterion-03 states, reusing the primal's argmax changes no bit
+    calls = _count_descents(monkeypatch)
+    for d, count in {2: 13, 3: 13, 4: 12, 5: 12}.items():
+        for k in range(count):
+            rho = qmat.random_state(d, d, seed=1000 * d + k).data
+            monkeypatch.setattr(mn, "_last_primal", (None, None))
+            alone = mn.fidelity_coherence_dual(rho, restarts=6, seed=k)
+            mn.fidelity_coherence_primal(rho, restarts=6, seed=k)
+            after = mn.fidelity_coherence_dual(rho, restarts=6, seed=k)
+            assert after.value == alone.value
+            assert np.array_equal(after.argmin_r, alone.argmin_r)
+    assert len(calls) == 100
+
+
 def test_multiplicativity():
     diag_a = np.diag([0.7, 0.3]).astype(complex)
     diag_b = np.diag([0.2, 0.8]).astype(complex)
