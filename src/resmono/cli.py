@@ -73,10 +73,14 @@ def emit(args, header, rows, meta):
             out.close()
 
 
-def parse_vector(text, rationalize=None):
-    """Comma list of entries, each 'a/b' (exact) or decimal."""
+def parse_vector(args, name):
+    """The comma list of flag --name, each entry 'a/b' (exact) or decimal,
+    rationalized by --rationalize. Every entry must be finite and at least
+    -SUM_TOL. Sums are the library's business: a sigma such as --q 1,1 is
+    legal."""
+    rationalize, flag = args.rationalize, "--" + name.replace("_", "-")
     vals, fracs = [], []
-    for tok in text.split(","):
+    for tok in getattr(args, name).split(","):
         tok = tok.strip()
         if "/" in tok:
             f = Fraction(tok)
@@ -90,8 +94,12 @@ def parse_vector(text, rationalize=None):
         else:
             fracs.append(None)
             vals.append(float(tok))
+    v = np.asarray(vals, dtype=float)
+    if not (np.all(np.isfinite(v)) and np.all(v >= -qmat.SUM_TOL)):
+        raise InputError(f"{flag} must have finite entries, none below {-qmat.SUM_TOL:g}, "
+                         f"got {v.tolist()}")
     all_rational = all(f is not None for f in fracs)
-    return np.asarray(vals, dtype=float), (fracs if all_rational else None)
+    return v, (fracs if all_rational else None)
 
 
 def load_matrix(path, flag=None) -> np.ndarray:
@@ -118,15 +126,13 @@ def load_matrix(path, flag=None) -> np.ndarray:
     return m
 
 
-def _state_arg(args, name_matrix, name_vector, rationalize=None):
+def _state_arg(args, name_matrix, name_vector):
     path = getattr(args, name_matrix, None)
     if path:
         return load_matrix(path, name_matrix), None
-    vec = getattr(args, name_vector, None)
-    if vec is None:
+    if getattr(args, name_vector, None) is None:
         raise InputError(f"need --{name_matrix.replace('_', '-')} or --{name_vector.replace('_', '-')}")
-    v, fr = parse_vector(vec, rationalize)
-    return v, fr
+    return parse_vector(args, name_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +141,14 @@ def _state_arg(args, name_matrix, name_vector, rationalize=None):
 
 def cmd_divergence(args):
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
-    rho, _ = _state_arg(args, "rho", "p", args.rationalize)
-    sig, _ = _state_arg(args, "sigma", "q", args.rationalize)
-    if args.kind == "classical":
-        val = dv.classical_renyi(rho, sig, alpha)
-    elif args.kind == "sandwiched":
-        val = dv.sandwiched(rho, sig, alpha)
-    else:
-        # vectors are embedded on the diagonal, which keeps these on the quantum path
-        r, s = qmat.asmat(rho), qmat.asmat(sig)
-        val = {"petz": lambda: dv.petz(r, s, alpha),
-               "umegaki": lambda: dv.umegaki(r, s),
-               "dmax": lambda: dv.dmax(r, s)}[args.kind]()
+    rho, _ = _state_arg(args, "rho", "p")
+    sig, _ = _state_arg(args, "sigma", "q")
+    # divergences decides between the classical and the quantum path itself
+    val = {"classical": lambda: dv.classical_renyi(rho, sig, alpha),
+           "sandwiched": lambda: dv.sandwiched(rho, sig, alpha),
+           "petz": lambda: dv.petz(rho, sig, alpha),
+           "umegaki": lambda: dv.umegaki(rho, sig),
+           "dmax": lambda: dv.dmax(rho, sig)}[args.kind]()
     emit(args, ["kind", "alpha", "bits", "infinite"],
          [(args.kind, alpha, val if not math.isinf(val) else 0.0, math.isinf(val))],
          {"command": "divergence"})
@@ -155,7 +157,7 @@ def cmd_divergence(args):
 
 def _theory_from_args(args):
     if args.theory == "athermality":
-        g, _ = _state_arg(args, "gamma_file", "gamma", args.rationalize)
+        g, _ = _state_arg(args, "gamma_file", "gamma")
         return mn.Athermality(g)
     if args.theory == "coherence":
         return mn.Coherence()
@@ -165,13 +167,11 @@ def _theory_from_args(args):
 
 def cmd_monotone(args):
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
-    state, _ = _state_arg(args, "state", "p", args.rationalize)
+    state, _ = _state_arg(args, "state", "p")
     theory = _theory_from_args(args)
     if state.ndim == 1:
-        # finite first: inf + (-inf) would make numpy warn inside the sum
-        if not (np.all(np.isfinite(state)) and state.sum() > 0.0):
-            raise InputError("--p must have a positive sum and finite entries, "
-                             f"got {state.tolist()}")
+        if not state.sum() > 0.0:
+            raise InputError(f"--p must have a positive sum, got {state.tolist()}")
         state = qmat.ClassicalDist(state)
     val = mn.monotone_alpha(state, theory, alpha, seed=args.seed)
     # coherence away from alpha = 1 comes from mirror descent, not a closed form,
@@ -213,8 +213,8 @@ def cmd_smooth(args):
 
 
 def cmd_regions(args):
-    p, _ = parse_vector(args.p, args.rationalize)
-    g, g_frac = parse_vector(args.gamma, args.rationalize)
+    p, _ = parse_vector(args, "p")
+    g, g_frac = parse_vector(args, "gamma")
     grid = cs.classify_simplex_regions(p, g, args.grid,
                                        alpha_grid=cs.default_alpha_grid(args.alpha_points),
                                        gamma_rational=g_frac)
@@ -233,7 +233,7 @@ def cmd_regions(args):
 
 
 def cmd_sweep(args):
-    g, _ = parse_vector(args.gamma, args.rationalize)
+    g, _ = parse_vector(args, "gamma")
     gamma = np.diag(g.astype(complex))
     # --grid sizes nothing: it is validated and echoed so that existing
     # command lines run unchanged
@@ -291,10 +291,7 @@ def cmd_bound(args):
 
 
 def cmd_exponent(args):
-    p1, _ = parse_vector(args.p1, args.rationalize)
-    q1, _ = parse_vector(args.q1, args.rationalize)
-    p2, _ = parse_vector(args.p2, args.rationalize)
-    q2, _ = parse_vector(args.q2, args.rationalize)
+    p1, q1, p2, q2 = (parse_vector(args, name)[0] for name in ("p1", "q1", "p2", "q2"))
     first = ct.error_exponent_first_order(p1, q1, p2, q2)
     if args.optimized:
         opt = ct.error_exponent_optimized(p1, q1, p2, q2)
@@ -308,10 +305,8 @@ def cmd_exponent(args):
 
 
 def cmd_catalyst(args):
-    p, _ = parse_vector(args.rho, args.rationalize)
-    pp, _ = parse_vector(args.rho_prime, args.rationalize)
-    e, _ = parse_vector(args.eta, args.rationalize)
-    ep, _ = parse_vector(args.eta_prime, args.rationalize)
+    p, pp, e, ep = (parse_vector(args, name)[0]
+                    for name in ("rho", "rho_prime", "eta", "eta_prime"))
     rep = ct.duan_catalyst(p, pp, e, ep, n=args.n, xi_mode=args.xi_mode)
     emit(args, ["n", "D_bits", "bound_bits", "P_tau", "xi_eps0", "marginal_dev"],
          [(rep.blocks.n, rep.d_nu_gamma, rep.free_energy_bound, rep.p_tau, rep.xi_eps0,

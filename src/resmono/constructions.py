@@ -487,7 +487,7 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    kl_at = np.flatnonzero(np.abs(alpha_grid - 1.0) < 1e-9)
+    kl_at = np.flatnonzero(np.abs(alpha_grid - 1.0) < dv.ALPHA_ONE_WINDOW)
     if not kl_at.size or not np.any((alpha_grid >= 0.5) & (alpha_grid < 1.0)):
         raise InputError("alpha_grid must hold alpha = 1 and at least one alpha in [1/2, 1), "
                          f"got {alpha_grid.size} values")

@@ -6,9 +6,10 @@ conditions of the piecewise definitions fail,
     sandwiched finite iff (alpha < 1 and rho not orthogonal to sigma)
                           or supp(rho) <= supp(sigma).
 
-At alpha = 1/2 the sandwiched divergence equals -log2 (Tr|sqrt rho sqrt sigma|)^2
-exactly (the plain root-fidelity, without the subnormalized deficit term, which
-is what the trace formula evaluates to for subnormalized arguments).
+At alpha = 1/2 the sandwiched divergence is -log2 (Tr|sqrt rho sqrt sigma|)^2
+(the plain root-fidelity, without the subnormalized deficit term). The
+generic spectral formula evaluates it, with the support rule of every order
+below 1.
 
 sandwiched, umegaki, dmax and rel_entropy_variance decide classical versus
 quantum themselves: when both arguments are distributions (qmat.is_classical),
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import qmat
 from .errors import AlphaOutOfRange, DimensionMismatch, SupportViolation
-from .qmat import asmat, eigh, hermitize, mpow, nuclear_norm, sqrtm_psd
+from .qmat import asmat, eigh, hermitize, mpow
 
 ALPHA_ONE_WINDOW = 1e-6  # |alpha - 1| below this dispatches to umegaki
 OVERLAP_TOL = 1e-12
@@ -62,7 +63,7 @@ def sandwiched(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence log2 Tr(s^((1-a)/2a) r s^((1-a)/2a))^a / (a-1).
 
     alpha = 1 dispatches to the Umegaki relative entropy, alpha = inf to the
-    max-divergence, alpha = 1/2 to -log2 of the plain fidelity.
+    max-divergence.
     """
     if not alpha >= 0.5:
         raise AlphaOutOfRange(f"sandwiched divergence needs alpha >= 1/2, got {alpha}")
@@ -73,11 +74,6 @@ def sandwiched(rho, sigma, alpha: float) -> float:
         return dmax(r, s)
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
         return umegaki(r, s)
-    if alpha == 0.5:
-        rf = nuclear_norm(sqrtm_psd(r) @ sqrtm_psd(s))
-        if rf <= 0.0:
-            return math.inf
-        return -2.0 * float(np.log2(rf))
     if alpha > 1.0 and _mass(r, s, on_support=False) > OVERLAP_TOL:
         return math.inf
     if alpha < 1.0 and _mass(r, s, on_support=True) <= OVERLAP_TOL:
@@ -208,7 +204,7 @@ def classical_renyi(p, q, alpha: float) -> float:
         mask = (pv > 0) & (qv > 0)   # as for alpha > 1, mass below tolerance on ker(q) is dropped
         if not mask.any():
             return -math.inf           # as dmax of the diagonal embeddings
-        return float(np.log2(np.max(pv[mask] / qv[mask])))
+        return float(np.max(_log2_ratio(pv[mask], qv[mask])))
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
         return classical_kl(pv, qv)
     if alpha > 1.0 and np.any(_off_support(pv, qv)):
@@ -243,10 +239,16 @@ def classical_renyi_rows(p, q, alpha: float) -> np.ndarray:
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     both = (p > 0) & (q > 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if math.isinf(alpha):
-            out = np.log2(_by_row(np.maximum, np.where(both, p / q, 0.0)))
-        elif abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-            out = _by_row(np.add, np.where(both, p * np.log2(p / q), 0.0))
+        if math.isinf(alpha) or abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
+            ratio = p / q
+            lr = np.log2(ratio)
+            over = both & np.isinf(ratio)     # p / q left the float range (a subnormal q)
+            if over.any():
+                lr = np.where(over, np.log2(p) - np.log2(q), lr)
+            if math.isinf(alpha):
+                out = _by_row(np.maximum, np.where(both, lr, -math.inf))
+            else:
+                out = _by_row(np.add, np.where(both, p * lr, 0.0))
         else:
             s = _by_row(np.add, np.where(both, p ** alpha * q ** (1.0 - alpha), 0.0))
             out = np.log2(s) / (alpha - 1.0)
@@ -292,12 +294,23 @@ def _renyi_log_domain(p: np.ndarray, q: np.ndarray, alpha: float):
     return float(out[0]) if out.ndim == 1 else out[:, 0]
 
 
+def _log2_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log2(p / q) for arrays of positive entries, and log2 p - log2 q where
+    p / q leaves the float range (a subnormal q). Two reductions settle the
+    common case, in which no quotient can overflow, without np.errstate."""
+    if float(np.max(p, initial=0.0)) / float(np.min(q, initial=math.inf)) < math.inf:
+        return np.log2(p / q)
+    with np.errstate(over="ignore"):
+        r = p / q
+    return np.where(np.isinf(r), np.log2(p) - np.log2(q), np.log2(r))
+
+
 def classical_kl(p, q) -> float:
     pv, qv = _classical_pair(p, q)
     if np.any(_off_support(pv, qv)):
         return math.inf
     mask = (pv > 0) & (qv > 0)
-    return float((pv[mask] * np.log2(pv[mask] / qv[mask])).sum())
+    return float((pv[mask] * _log2_ratio(pv[mask], qv[mask])).sum())
 
 
 def classical_rel_entropy_variance(p, q) -> float:
@@ -305,7 +318,7 @@ def classical_rel_entropy_variance(p, q) -> float:
     if np.any(_off_support(pv, qv)):
         raise SupportViolation("supp(p) not contained in supp(q)")
     mask = (pv > 0) & (qv > 0)
-    llr = np.log2(pv[mask] / qv[mask])
+    llr = _log2_ratio(pv[mask], qv[mask])
     d = float((pv[mask] * llr).sum())
     return float((pv[mask] * llr ** 2).sum()) - d * d
 

@@ -46,8 +46,8 @@ SIMPLEX_TOL = 1e-10      # objective-decrement stopping tolerance
 PURITY_TOL = 1e-10
 MULT_DIM_CAP = 16
 KAPPA_CAP = 1e8           # largest condition number of a reported dual R
-MONOTONE_ITERS = 2000     # mirror steps per start: a cap behind the SIMPLEX_TOL stop
-PRIMAL_ITERS = 3000       # longer cap for the primal, which the dual is checked against
+MIRROR_ITERS = 2000       # the one mirror budget, steps per start: a cap behind SIMPLEX_TOL
+POWER_ITERS = 3000        # robustness power-method steps: a cap behind its rounding stop
 DUAL_FLOOR = 1e-10        # least eigenvalue of the dual's R: keeps it invertible
 EPS = float(np.finfo(float).eps)
 
@@ -184,8 +184,7 @@ def _simplex_starts(rho: np.ndarray, restarts: int, seed: int):
     return starts
 
 
-def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = MONOTONE_ITERS,
-                       seed: int = 0):
+def coherence_monotone(rho, alpha: float, restarts: int = 10, seed: int = 0):
     """min over diagonal sigma of the sandwiched divergence, with its argmin.
 
     The mirror descent runs on the divergence D_alpha(rho || diag q) itself
@@ -200,13 +199,7 @@ def coherence_monotone(rho, alpha: float, restarts: int = 10, iters: int = MONOT
         return relative_entropy_coherence(r), q / max(q.sum(), 1e-300)
     if math.isinf(alpha):
         return _robustness_coherence(r)[:2]
-    return _mirror_opt(*_coherence_obj(r, alpha), _simplex_starts(r, restarts, seed), iters)
-
-
-def coherence_optimal_sigma(rho, alpha: float) -> np.ndarray:
-    """The argmin q of coherence_monotone on a smaller budget (6 starts, 800
-    steps): it only steers the alternation in smoothing.smoothed_monotone."""
-    return coherence_monotone(rho, alpha, restarts=6, iters=800)[1]
+    return _mirror_opt(*_coherence_obj(r, alpha), _simplex_starts(r, restarts, seed), MIRROR_ITERS)
 
 
 def relative_entropy_coherence(rho) -> float:
@@ -278,11 +271,11 @@ def _primal_key(r: np.ndarray, restarts, seed):
 
 def fidelity_coherence_primal(rho, restarts: int = 10, seed: int = 0) -> CoherencePrimal:
     """max over diagonal sigma of F(rho, sigma), as 2^-d for the least
-    d = D_1/2(rho || sigma) = -log2 F(rho, sigma): the mirror descent of
-    coherence_monotone at order 1/2, on a longer budget (PRIMAL_ITERS)."""
+    d = D_1/2(rho || sigma) = -log2 F(rho, sigma): coherence_monotone at
+    order 1/2, on the one mirror budget MIRROR_ITERS."""
     global _last_primal
     r = asmat(rho)
-    d, q = _mirror_opt(*_coherence_obj(r, 0.5), _simplex_starts(r, restarts, seed), PRIMAL_ITERS)
+    d, q = coherence_monotone(r, 0.5, restarts, seed)
     _last_primal = (_primal_key(r, restarts, seed), None if q is None else q.copy())
     return CoherencePrimal(value=float(2.0 ** -d), argmax=q)
 
@@ -389,16 +382,17 @@ def _robustness_coherence(r: np.ndarray):
     diagonal. W = V V^dag with unit rows is ascended by the generalized power
     method V <- rows-normalized(rho V) (Journee, Nesterov, Richtarik &
     Sepulchre, JMLR 11, 517 (2010)) from V = I, until the gain reaches
-    rounding level; a zero row of rho V keeps its row of V. Weak duality
-    makes lo = log2 Tr[rho W] a lower bound. D = diag(Re(rho W)_ii), lifted by
-    its eigvalsh shortfall spread over the diagonal, is primal feasible up to
-    the rounding of one eigvalsh, so hi = log2 Tr D is an upper bound with
-    q = D / Tr D. At a fixed point the two meet.
+    rounding level or for POWER_ITERS steps; a zero row of rho V keeps its
+    row of V. Weak duality makes lo = log2 Tr[rho W] a lower bound.
+    D = diag(Re(rho W)_ii), lifted by its eigvalsh shortfall spread over the
+    diagonal, is primal feasible up to the rounding of one eigvalsh, so
+    hi = log2 Tr D is an upper bound with q = D / Tr D. At a fixed point the
+    two meet.
     """
     d = r.shape[0]
     v = np.eye(d, dtype=complex)
     val = -math.inf
-    for _ in range(PRIMAL_ITERS):
+    for _ in range(POWER_ITERS):
         rv = r @ v
         diag = np.sum(rv * v.conj(), axis=1).real       # Re(rho W)_ii
         prev, val = val, float(diag.sum())

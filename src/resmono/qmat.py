@@ -70,7 +70,7 @@ def _check_psd(data: np.ndarray):
 
 @dataclass
 class ClassicalDist:
-    """Nonnegative vector with sum <= 1 (subnormalized allowed)."""
+    """Finite nonnegative vector with sum <= 1 (subnormalized allowed)."""
 
     dim: int
     probs: np.ndarray
@@ -79,6 +79,8 @@ class ClassicalDist:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1:
             raise DimensionMismatch("expected a 1-d vector")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("vector has a NaN or infinite entry")
         if np.min(probs) < -SUM_TOL:
             raise ValueError(f"negative entry {np.min(probs):.3e}")
         if probs.sum() > 1.0 + SUM_TOL:
@@ -214,14 +216,6 @@ def support_mask(w: np.ndarray) -> np.ndarray:
     return w > SUPPORT_RTOL * max(float(w[0]), KERNEL_TOL)
 
 
-def nuclear_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def trace_norm_herm(m: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(hermitize(m))).sum())
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
@@ -229,7 +223,7 @@ def trace_norm_herm(m: np.ndarray) -> float:
 def root_fidelity(rho, sigma) -> float:
     """Generalized root fidelity Tr|sqrt(rho) sqrt(sigma)| + deficit term."""
     r, s = asmat(rho), asmat(sigma)
-    overlap = nuclear_norm(sqrtm_psd(r) @ sqrtm_psd(s))
+    overlap = float(np.linalg.svd(sqrtm_psd(r) @ sqrtm_psd(s), compute_uv=False).sum())
     dr = max(0.0, 1.0 - float(np.trace(r).real))
     ds = max(0.0, 1.0 - float(np.trace(s).real))
     return min(overlap + np.sqrt(dr * ds), 1.0)
@@ -247,7 +241,8 @@ def purified_distance(rho, sigma) -> float:
 def gen_trace_distance(rho, sigma) -> float:
     """Generalized trace distance (Tr|rho-sigma| + |Tr(rho-sigma)|) / 2."""
     d = asmat(rho) - asmat(sigma)
-    return 0.5 * (trace_norm_herm(d) + abs(float(np.trace(d).real)))
+    trace_norm = float(np.abs(np.linalg.eigvalsh(hermitize(d))).sum())
+    return 0.5 * (trace_norm + abs(float(np.trace(d).real)))
 
 
 def bures_geodesic(rho, sigma, theta: float):

@@ -7,8 +7,9 @@ downhill (1/(alpha-1) flips the sense for alpha < 1), by projected gradient
 descent on a factor L with rho~ = L L^dag, multi-restart.
 
 The engine works on stacks of candidates (S, d, d). All starts descend
-together as one stack: each keeps its own step, stall count and
-backtracking, and stops on its own, or once it can no longer overtake the
+together as one stack: each keeps its own step and backtracking, and stops
+on its own, when its gradient vanishes, when a round of backtracking finds
+no descent or at the iteration cap, or once it can no longer overtake the
 leader, the first start with the least value so far (_descend). Backtracking
 tries two steps, s and s/2, in one stacked projection, since most iterations
 reject the first and take the second. The winner is the first start, in
@@ -53,7 +54,7 @@ DIM_CAP = 16
 BALL_SLACK = 1e-8        # allowed feasibility slack on returned optimizers
 CELLS = 4096             # cells of the boundary search: the resolution of twelve halvings
 GRAD_TOL = 1e-9          # a start stops once its factor gradient norm falls below this
-WINDOW = 40              # iterations the stall rule and the leader rule look back over
+WINDOW = 40              # iterations the leader rule looks back over
 
 
 class Ball(enum.Enum):
@@ -459,9 +460,11 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
     """Backtracking gradient descent on factors L of c = L L^dag, for every
     row of the stack c0 at once.
 
-    Each row keeps its own step, stall count and up to 10 backtracking
-    trials, retracted by project (which masks rows with no feasible point),
-    and stops on its own. Returns the best Q and c each row saw.
+    Each row keeps its own step and up to 10 backtracking trials, retracted
+    by project (which masks rows with no feasible point), and stops on its
+    own: once its factor gradient norm falls below GRAD_TOL, once all its
+    trials of an iteration fail, or after max_iters iterations. Returns the
+    best Q and c each row saw.
 
     A row also stops once it cannot overtake the leader, racing style
     (Maron & Moore 1997). From iteration WINDOW on, the leader is the first
@@ -493,7 +496,6 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
     ell = np.empty_like(c)
     best_q, best_c = np.full(n, np.inf), c.copy()
     step = np.full(n, 0.1)
-    stall = np.zeros(n, dtype=np.int64)
     gains = np.zeros((n, WINDOW))
     live = np.ones(n, dtype=bool)
 
@@ -552,14 +554,10 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
         rows, q_old = idx[accepted], q[idx[accepted]]
         if not rows.size:
             break
-        gain = q_old - q_new[accepted]
-        gains[rows, it % WINDOW] = gain
-        small = gain < 1e-15 * np.maximum(np.abs(q_old), 1.0)
-        stall[rows] = np.where(small, stall[rows] + 1, 0)
+        gains[rows, it % WINDOW] = q_old - q_new[accepted]
         c[rows] = cand[accepted]
         refresh(rows)
         step[rows] = np.minimum(step[rows] * 1.4, 1.0)
-        live[rows[stall[rows] > WINDOW]] = False
     return best_q, best_c
 
 
@@ -607,13 +605,13 @@ def smoothed_monotone(rho, theory, alpha: float, epsilon: float,
         return smoothed_sandwiched(rho, theory.gibbs, spec)
     if isinstance(theory, mn.Coherence):
         r = asmat(rho)
-        q = mn.coherence_optimal_sigma(r, alpha)
+        q = mn.coherence_monotone(r, alpha, restarts=6)[1]
         sv = None
         for _ in range(3):
             sv = smoothed_sandwiched(r, np.diag(q.astype(complex)), spec)
             if sv.optimizer is None:
                 break
-            q = mn.coherence_optimal_sigma(sv.optimizer, alpha)
+            q = mn.coherence_monotone(sv.optimizer, alpha, restarts=6)[1]
         return sv
     raise TheoryUnsupported(f"smoothed monotone not available for {type(theory).__name__}")
 

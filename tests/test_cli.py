@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import resmono
 from resmono import cli, qmat
 from resmono import constructions as cs
+from resmono import divergences as dv
 from resmono.errors import SupportViolation
 
 
@@ -35,6 +37,23 @@ def test_divergence_classical_rational_inputs():
     g = [0.7, 0.2, 0.1]
     expected = sum(pi * math.log2(pi / gi) for pi, gi in zip(p, g))
     assert abs(float(row[2]) - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("kind, p, q", [
+    ("dmax", "0.5,0.5", "1e-14,1"),
+    ("dmax", "2/3,1/12,1/4", "7/10,2/10,1/10"),
+    ("umegaki", "0.5,0.5", "1e-14,1"),
+    ("umegaki", "2/3,1/12,1/4", "7/10,2/10,1/10"),
+])
+def test_divergence_vectors_print_the_library_value(kind, p, q):
+    # vectors reach divergences as they are, which takes the classical path
+    code, out = run_cli(["divergence", "--kind", kind, "--p", p, "--q", q, "--format", "json"])
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    vec = [np.array([float(Fraction(x)) for x in v.split(",")]) for v in (p, q)]
+    expected = getattr(dv, kind)(*vec)
+    assert math.isfinite(expected) and row["infinite"] is False
+    assert row["bits"] == cli._fmt(expected)
 
 
 def test_divergence_matrix_files(tmp_path):
@@ -310,6 +329,9 @@ def run_cli_err(argv):
     ["verify", "--suite", "nope"],
     ["verify", "--suite", ""],
     ["monotone", "--theory", "coherence", "--alpha", "0.5", "--p=inf,-inf"],
+    CATALYST_ARGV[:6] + ["0.5,nan"] + CATALYST_ARGV[7:],
+    ["exponent", "--p1", "0.6,0.4", "--q1", "0.5,0.5", "--p2=1.5,-0.5", "--q2", "0.5,0.5"],
+    ["divergence", "--kind", "classical", "--alpha", "0.5", "--p=2,-1", "--q", "0.5,0.5"],
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -326,7 +348,8 @@ def run_cli_err(argv):
         "pairs_coh_eps_inf", "pairs_coh_dim_zero", "pairs_mu_nan", "sweep_gamma_nan_first",
         "sweep_gamma_nan_second", "monotone_alpha_minus_inf", "monotone_state_not_state",
         "monotone_state_trace_two", "monotone_state_nan_entry", "divergence_rho_nan_entry",
-        "verify_unknown_suite", "verify_empty_suite", "monotone_p_inf_minus_inf"])
+        "verify_unknown_suite", "verify_empty_suite", "monotone_p_inf_minus_inf",
+        "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative"])
 def test_bad_input_exit_two(argv, matrix_files):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -350,8 +373,15 @@ def test_bad_input_exit_two(argv, matrix_files):
     (["monotone", "--theory", "athermality", "--alpha", "2", "--p", "0,0", "--gamma", "0.5,0.5"],
      "--p must have a positive sum"),
     (["sweep", "--gamma", "0.999,0.001", "--grid", "0"], "grid must be >= 1, got 0"),
+    # vector entries are checked once, at parse time
+    (CATALYST_ARGV[:6] + ["0.5,nan"] + CATALYST_ARGV[7:], "--eta must have finite entries"),
+    (["exponent", "--p1", "0.6,0.4", "--q1", "0.5,0.5", "--p2=1.5,-0.5", "--q2", "0.5,0.5"],
+     "--p2 must have finite entries, none below -1e-12"),
+    (["divergence", "--kind", "classical", "--alpha", "0.5", "--p=2,-1", "--q", "0.5,0.5"],
+     "--p must have finite entries"),
 ], ids=["sandwiched_alpha_nan", "smooth_alpha_inf", "smooth_alpha_minus_inf", "smooth_shapes",
-        "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p", "sweep_grid_zero"])
+        "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p", "sweep_grid_zero",
+        "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative"])
 def test_bad_input_names_the_input(argv, named, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2

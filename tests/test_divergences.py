@@ -75,6 +75,36 @@ def test_sandwiched_half_equals_minus_log_fidelity():
     assert abs(dv.sandwiched(a, b, 0.5) + math.log2(qmat.fidelity(a, b))) <= 1e-10
 
 
+def _half_by_svd(rho, sigma):
+    """-2 log2 ||sqrt(rho) sqrt(sigma)||_1 from an SVD, with noise-level
+    eigenvalues clipped: an order-1/2 oracle apart from the spectral path."""
+    def root(m):
+        w, u = np.linalg.eigh(m)
+        w = np.where(w > 1e-14 * w.max(), w, 0.0)
+        return (u * np.sqrt(w)) @ u.conj().T
+    return -2.0 * math.log2(np.linalg.svd(root(rho) @ root(sigma), compute_uv=False).sum())
+
+
+def test_sandwiched_half_meets_an_svd_oracle_on_rank_deficient_pairs():
+    for i in range(40):
+        d = 2 + i % 5
+        rho = qmat.random_state(d, 1 + i % d, seed=6100 + i).data
+        sig = qmat.random_state(d, 1 + (i // 5) % d, seed=6200 + i).data
+        assert abs(dv.sandwiched(rho, sig, 0.5) - _half_by_svd(rho, sig)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale, finite", [(0.5, False), (1.0, False), (100.0, True)])
+def test_sandwiched_half_follows_the_overlap_rule(scale, finite):
+    # like every order below 1, +inf once rho's mass on supp(sigma) is at most OVERLAP_TOL
+    t = scale * dv.OVERLAP_TOL
+    rho = np.diag([1.0 - t, t]).astype(complex)
+    sig = np.diag([0.0, 1.0]).astype(complex)
+    got = dv.sandwiched(rho, sig, 0.5)
+    assert math.isfinite(got) == finite == math.isfinite(dv.sandwiched(rho, sig, 0.75))
+    if finite:
+        assert abs(got + math.log2(t)) <= 1e-9
+
+
 def test_petz_basics():
     rho = qmat.random_state(3, 3, seed=3).data
     assert abs(dv.petz(rho, rho, 0.5)) <= 1e-10
@@ -241,6 +271,21 @@ def test_classical_renyi_prints_no_warning(p, q, alpha, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert dv.classical_renyi(np.array(p), np.array(q), alpha) == expected
+
+
+@pytest.mark.parametrize("p, q", [([1.0, 0.0, 0.0], [2.225073858507e-311, 0.5, 0.5]),
+                                  ([0.0, 0.0, 1.0], [0.5, 0.5, 2.225073858507e-311])])
+def test_classical_kl_and_dmax_over_a_subnormal_entry(p, q):
+    # p / q leaves the float range: log2 p - log2 q takes its place
+    p, q = np.array(p), np.array(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dv.classical_kl(p, q) == 1031.9657842846623
+        assert dv.classical_renyi(p, q, math.inf) == 1031.9657842846623
+        assert dv.dmax(p, q) == 1031.9657842846623
+        for alpha in (1.0, 1.0 + 1e-8, math.inf):
+            assert dv.classical_renyi_rows(p[None], q, alpha)[0] == 1031.9657842846623
+    assert dv.classical_renyi(p, q, 2.0) == 1031.9657842846623
 
 
 @pytest.mark.parametrize("side", ["upper", "lower"])

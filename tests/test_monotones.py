@@ -333,6 +333,18 @@ def test_primal_at_least_uniform_witness():
         assert mn.fidelity_coherence_primal(rho, restarts=4).value >= 1.0 / d - 1e-12
 
 
+def test_primal_is_the_order_half_monotone():
+    # one mirror descent and one budget: the primal reads coherence_monotone
+    # at order 1/2, bit for bit, on the criterion-03 states
+    for d, count in {2: 13, 3: 13, 4: 12, 5: 12}.items():
+        for k in range(count):
+            rho = qmat.random_state(d, d, seed=1000 * d + k).data
+            res = mn.fidelity_coherence_primal(rho, restarts=6, seed=k)
+            value, q = mn.coherence_monotone(rho, 0.5, restarts=6, seed=k)
+            assert res.value == 2.0 ** -value
+            assert np.array_equal(res.argmax, q)
+
+
 def test_dual_diagonal_state_and_plus():
     rho = np.diag([0.6, 0.4]).astype(complex)
     res = mn.fidelity_coherence_dual(rho, restarts=6)

@@ -252,6 +252,14 @@ def test_non_finite_matrices_rejected(m):
             qmat._check_psd(np.array(m, dtype=complex))
 
 
+@pytest.mark.parametrize("v", [[math.nan, 0.5], [0.5, math.inf], [-math.inf, 0.5]],
+                         ids=["nan", "inf", "minus_inf"])
+def test_non_finite_distributions_rejected(v):
+    # both comparisons of the other checks are False on NaN
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        qmat.ClassicalDist(np.array(v))
+
+
 def test_eigh_reconstruction_random(verify_case):
     verify_case("qmat", "eigh_reconstruction")
 

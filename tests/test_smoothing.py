@@ -229,7 +229,6 @@ def _sequential_descend(obj, c0, project, max_iters, inside, exhausted):
     ell = np.empty_like(c)
     best_q, best_c = np.full(n, np.inf), c.copy()
     step = np.full(n, 0.1)
-    stall = np.zeros(n, dtype=np.int64)
     gains = [[] for _ in range(n)]
     live = np.ones(n, dtype=bool)
 
@@ -282,19 +281,16 @@ def _sequential_descend(obj, c0, project, max_iters, inside, exhausted):
             break
         for r, gain in zip(rows, q_old - q_new[accepted]):
             gains[r].append(gain)
-        small = q_old - q_new[accepted] < 1e-15 * np.maximum(np.abs(q_old), 1.0)
-        stall[rows] = np.where(small, stall[rows] + 1, 0)
         c[rows] = cand[accepted]
         refresh(rows)
         step[rows] = np.minimum(step[rows] * 1.4, 1.0)
-        live[rows[stall[rows] > 40]] = False
     return best_q, best_c
 
 
 def _descend_unpruned(obj, c0, project, max_iters, inside=None):
     """_descend without the leader rule: every row runs until its own
-    gradient, backtracking or stall rule stops it, independent of the other
-    rows. The reference whose reported values the leader rule must keep."""
+    gradient, backtracking or iteration cap stops it, independent of the
+    other rows. The reference whose reported values the leader rule must keep."""
     c = c0.copy()
     n = len(c)
     q = np.full(n, np.inf)
@@ -302,7 +298,6 @@ def _descend_unpruned(obj, c0, project, max_iters, inside=None):
     ell = np.empty_like(c)
     best_q, best_c = np.full(n, np.inf), c.copy()
     step = np.full(n, 0.1)
-    stall = np.zeros(n, dtype=np.int64)
     live = np.ones(n, dtype=bool)
 
     def refresh(rows):
@@ -349,15 +344,12 @@ def _descend_unpruned(obj, c0, project, max_iters, inside=None):
             step[rows] = np.where(first, s, np.where(second | (half < 1e-14), half, half * 0.5))
             trying[j] = ~hit & (step[rows] >= 1e-14)
         live[idx[~accepted]] = False
-        rows, q_old = idx[accepted], q[idx[accepted]]
+        rows = idx[accepted]
         if not rows.size:
             break
-        small = q_old - q_new[accepted] < 1e-15 * np.maximum(np.abs(q_old), 1.0)
-        stall[rows] = np.where(small, stall[rows] + 1, 0)
         c[rows] = cand[accepted]
         refresh(rows)
         step[rows] = np.minimum(step[rows] * 1.4, 1.0)
-        live[rows[stall[rows] > 40]] = False
     return best_q, best_c
 
 
