@@ -23,7 +23,7 @@ from . import divergences as dv
 from . import monotones as mn
 from . import qmat
 from .errors import (AlphaOutOfRange, DegenerateVariance, DimensionOverflow,
-                     HypothesisViolated, InvalidXi, NoFeasiblePoint,
+                     HypothesisViolated, InputError, InvalidXi, NoFeasiblePoint,
                      SupportViolation, TheoryUnsupported)
 from .qmat import ClassicalDist
 
@@ -39,9 +39,8 @@ EXPONENT_GRID = 200       # log-spaced deltas per axis; Nelder-Mead refines the 
 @dataclass
 class CatalystBound:
     q_bound: float            # upper bound on Q_alpha(nu), clamped to <= 1
-    d_alpha_nu_lb: float      # implied lower bound on D_alpha(nu), bits
-    d_nu_lb: float            # same value, valid for D(nu)
-    log_rob_lb: float         # same value, valid for the log-robustness
+    d_alpha_nu_lb: float      # lower bound on D_alpha(nu), bits; it bounds D(nu) and the
+                              # log-robustness of nu too, since D_max >= D >= D_alpha
     q_rho: float
     q_rho_prime: float
     clamped: bool
@@ -69,8 +68,8 @@ def catalyst_q_bound(rho, rho_prime, theory, alpha: float, eps: float) -> Cataly
     raw = eps ** alpha / gap
     q_bound = min(1.0, raw)
     lb = float(np.log2(q_bound)) / (alpha - 1.0)
-    return CatalystBound(q_bound=q_bound, d_alpha_nu_lb=lb, d_nu_lb=lb, log_rob_lb=lb,
-                         q_rho=q_rho, q_rho_prime=q_rhop, clamped=raw > 1.0)
+    return CatalystBound(q_bound=q_bound, d_alpha_nu_lb=lb, q_rho=q_rho, q_rho_prime=q_rhop,
+                         clamped=raw > 1.0)
 
 
 @dataclass
@@ -197,47 +196,46 @@ class DuanReport:
 
 
 def _kron_power(v: np.ndarray, k: int) -> np.ndarray:
-    if k == 0:
-        return np.array([1.0])
-    return reduce(np.kron, [v] * k)
+    return reduce(np.kron, [v] * k, np.array([1.0]))
 
 
-def _block_sqrt_f(a_blocks, b_blocks, weights) -> float:
-    return float(sum(w * np.sqrt(a * b).sum() for w, a, b in zip(weights, a_blocks, b_blocks)))
+def _dist(name: str, x, error=InputError) -> np.ndarray:
+    """x as a float vector, refused by error unless it is a distribution; the
+    entries are compared with 1 before the sum, which they could overflow."""
+    v = qmat.probs(x)
+    if not (v.min() >= -qmat.SUM_TOL and v.max() <= 1.0 + qmat.TRACE_TOL
+            and abs(v.sum() - 1.0) <= qmat.TRACE_TOL):
+        raise error(f"{name} must be a distribution: entries >= 0 summing to 1 "
+                    f"within {qmat.TRACE_TOL:g}, got {v.tolist()}")
+    return v
 
 
-def duan_catalyst(rho, rho_prime, eta, eta_prime, n: int,
-                  xi_mode: str = "exact_surrogate", xi_list=None) -> DuanReport:
+def duan_catalyst(rho, rho_prime, eta, eta_prime, n: int, xi_list=None) -> DuanReport:
     """Build the n-block catalyst nu = (1/n) sum_k rho^(k-1) (x) Xi_(n-k) (x) |k><k|.
 
-    xi_mode "exact_surrogate" sets Xi_k = rho'^(x k) (a zero-error stand-in for
-    the asymptotic protocol's intermediate states); "supplied" takes xi_list =
-    [Xi_1, ..., Xi_n]. Verifies the free-energy bound D(nu||gamma_C) <=
-    2n D(rho||eta) and the output error chain P(tau, rho' (x) nu) <= 2 eps0.
+    rho, rho', eta and eta' must be distributions. xi_list = [Xi_1, ..., Xi_n]
+    supplies the intermediate states, Xi_k a distribution of dimension dim(rho')^k;
+    None sets Xi_k = rho'^(x k), a zero-error surrogate for the asymptotic protocol's.
+    Verifies the free-energy bound D(nu||gamma_C) <= 2n D(rho||eta) and the
+    output error chain P(tau, rho' (x) nu) <= 2 eps0.
     """
-    p = qmat.probs(rho)
-    pp = qmat.probs(rho_prime)
-    e = qmat.probs(eta)
-    ep = qmat.probs(eta_prime)
+    p, pp, e, ep = (_dist(name, x) for name, x in (("rho", rho), ("rho_prime", rho_prime),
+                                                  ("eta", eta), ("eta_prime", eta_prime)))
     d, dp_ = p.shape[0], pp.shape[0]
     if n < 1:
         raise DimensionOverflow("need n >= 1")
     if max(d, dp_) ** n * n > DUAN_SIZE_CAP:
         raise DimensionOverflow(f"d^n * n exceeds {DUAN_SIZE_CAP}")
 
-    if xi_mode == "exact_surrogate":
+    if xi_list is None:
         xi = [_kron_power(pp, k) for k in range(1, n + 1)]
-    elif xi_mode == "supplied":
-        if xi_list is None or len(xi_list) != n:
+    else:
+        if len(xi_list) != n:
             raise InvalidXi(f"need {n} supplied Xi states")
-        xi = [np.asarray(x, dtype=float) for x in xi_list]
+        xi = [_dist(f"Xi_{k}", x, InvalidXi) for k, x in enumerate(xi_list, start=1)]
         for k, x in enumerate(xi, start=1):
             if x.shape[0] != dp_ ** k:
                 raise InvalidXi(f"Xi_{k} has dimension {x.shape[0]}, expected {dp_ ** k}")
-            if abs(x.sum() - 1.0) > 1e-10 or x.min() < -1e-12:
-                raise InvalidXi(f"Xi_{k} is not a distribution")
-    else:
-        raise InvalidXi(f"unknown xi_mode {xi_mode!r}")
 
     def xi_at(k):
         return np.array([1.0]) if k == 0 else xi[k - 1]
@@ -257,7 +255,8 @@ def duan_catalyst(rho, rho_prime, eta, eta_prime, n: int,
 
     tau_blocks = [np.kron(_kron_power(p, k - 1), xi_at(n - k + 1)) for k in range(1, n + 1)]
     ref_blocks = [np.kron(nb, pp) for nb in nu_blocks]   # rho' (x) nu, system last
-    sqrt_f = _block_sqrt_f(tau_blocks, ref_blocks, weights)
+    sqrt_f = float(sum(w * np.sqrt(a * b).sum()
+                       for w, a, b in zip(weights, tau_blocks, ref_blocks)))
     p_tau = math.sqrt(max(0.0, 1.0 - min(sqrt_f, 1.0) ** 2))
 
     eps0 = 0.0

@@ -126,6 +126,14 @@ def load_matrix(path, flag=None) -> np.ndarray:
     return m
 
 
+def _classical(v, flag) -> qmat.ClassicalDist:
+    """v as a ClassicalDist, which compares its entries with 1 before their sum."""
+    try:
+        return qmat.ClassicalDist(v)
+    except ValueError as exc:
+        raise InputError(f"{flag}: {exc}") from None
+
+
 def _state_arg(args, name_matrix, name_vector):
     path = getattr(args, name_matrix, None)
     if path:
@@ -170,9 +178,9 @@ def cmd_monotone(args):
     state, _ = _state_arg(args, "state", "p")
     theory = _theory_from_args(args)
     if state.ndim == 1:
-        if not state.sum() > 0.0:
-            raise InputError(f"--p must have a positive sum, got {state.tolist()}")
-        state = qmat.ClassicalDist(state)
+        state = _classical(state, "--p")
+        if not state.probs.sum() > 0.0:
+            raise InputError(f"--p must have a positive sum, got {state.probs.tolist()}")
     val = mn.monotone_alpha(state, theory, alpha, seed=args.seed)
     # coherence away from alpha = 1 comes from mirror descent, not a closed form,
     # except at alpha = inf: the upper end of a certified primal-dual interval
@@ -292,6 +300,8 @@ def cmd_bound(args):
 
 def cmd_exponent(args):
     p1, q1, p2, q2 = (parse_vector(args, name)[0] for name in ("p1", "q1", "p2", "q2"))
+    _classical(p1, "--p1")
+    _classical(p2, "--p2")
     first = ct.error_exponent_first_order(p1, q1, p2, q2)
     if args.optimized:
         opt = ct.error_exponent_optimized(p1, q1, p2, q2)
@@ -307,12 +317,12 @@ def cmd_exponent(args):
 def cmd_catalyst(args):
     p, pp, e, ep = (parse_vector(args, name)[0]
                     for name in ("rho", "rho_prime", "eta", "eta_prime"))
-    rep = ct.duan_catalyst(p, pp, e, ep, n=args.n, xi_mode=args.xi_mode)
+    rep = ct.duan_catalyst(p, pp, e, ep, n=args.n)
     emit(args, ["n", "D_bits", "bound_bits", "P_tau", "xi_eps0", "marginal_dev"],
          [(rep.blocks.n, rep.d_nu_gamma, rep.free_energy_bound, rep.p_tau, rep.xi_eps0,
            rep.marginal_dev)],
          {"command": "catalyst", "rho": args.rho, "rho_prime": args.rho_prime,
-          "eta": args.eta, "eta_prime": args.eta_prime, "xi_mode": args.xi_mode,
+          "eta": args.eta, "eta_prime": args.eta_prime, "xi_mode": "exact_surrogate",
           "block_dims": "|".join(str(b) for b in rep.blocks.block_dims)})
     return 0
 
@@ -342,15 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="resource-monotone numerics toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default="-")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rationalize", type=int, default=None,
-                       help="turn decimal inputs into fractions with bounded denominator")
+    def command(name, fn, help, seed=False, vectors=False, emits=True):
+        """A subcommand with only the shared flags its handler reads."""
+        p = sub.add_parser(name, help=help)
+        if emits:
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
+            p.add_argument("--out", default="-")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if vectors:
+            p.add_argument("--rationalize", type=int, default=None,
+                           help="turn decimal inputs into fractions with bounded denominator")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("divergence", help="pointwise divergence values")
-    common(p)
+    p = command("divergence", cmd_divergence, "pointwise divergence values", vectors=True)
     p.add_argument("--kind", choices=["sandwiched", "petz", "umegaki", "dmax", "classical"],
                    default="sandwiched")
     p.add_argument("--alpha", default="1")
@@ -358,10 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="JSON matrix file")
     p.add_argument("--p", help="inline classical vector")
     p.add_argument("--q", help="inline classical vector")
-    p.set_defaults(fn=cmd_divergence)
 
-    p = sub.add_parser("monotone", help="free-set minimization")
-    common(p)
+    p = command("monotone", cmd_monotone, "free-set minimization", seed=True, vectors=True)
     p.add_argument("--theory", choices=["athermality", "coherence", "entanglement"],
                    required=True)
     p.add_argument("--alpha", default="1")
@@ -370,10 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", help="inline Gibbs vector")
     p.add_argument("--gamma-file", dest="gamma_file", help="JSON matrix file")
     p.add_argument("--dims", default="2,2", help="dA,dB for entanglement")
-    p.set_defaults(fn=cmd_monotone)
 
-    p = sub.add_parser("smooth", help="smoothed divergences / appendix suite")
-    common(p)
+    p = command("smooth", cmd_smooth, "smoothed divergences / appendix suite", seed=True)
     p.add_argument("--appendix-b", action="store_true", dest="appendix_b")
     p.add_argument("--alpha", type=float, default=0.75)
     p.add_argument("--eps", type=float, default=0.1)
@@ -383,28 +395,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="JSON matrix file")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--iters", type=int, default=500)
-    p.set_defaults(fn=cmd_smooth)
 
-    p = sub.add_parser("regions", help="simplex region classifier")
-    common(p)
+    p = command("regions", cmd_regions, "simplex region classifier", vectors=True)
     p.add_argument("--p", required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--alpha-points", dest="alpha_points", type=int, default=64)
-    p.set_defaults(fn=cmd_regions)
 
-    p = sub.add_parser("sweep", help="qubit Bloch-plane level-set sweep")
-    common(p)
+    p = command("sweep", cmd_sweep, "qubit Bloch-plane level-set sweep", vectors=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--level", type=float, default=2.0)
     p.add_argument("--grid", type=int, default=400,
                    help="validated (>= 1) and echoed in the meta lines only; kept so that "
                         "existing command lines run unchanged")
     p.add_argument("--theta-points", dest="theta_points", type=int, default=720)
-    p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("pairs", help="hard-to-transform pair constructions")
-    common(p)
+    p = command("pairs", cmd_pairs, "hard-to-transform pair constructions")
     p.add_argument("--which", choices=["athermal", "entanglement", "coherence", "all"],
                    default="all")
     p.add_argument("--D", dest="big_d", type=int, default=10 ** 4)
@@ -414,41 +420,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coh-dim", dest="coh_dim", type=int, default=4)
     p.add_argument("--coh-eps", dest="coh_eps", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=None)
-    p.set_defaults(fn=cmd_pairs)
 
-    p = sub.add_parser("bound", help="catalyst bound curves")
-    common(p)
+    p = command("bound", cmd_bound, "catalyst bound curves")
     p.add_argument("--D", dest="big_d", type=int, default=10 ** 4)
     p.add_argument("--eps-param", dest="eps_param", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--eps-list", dest="eps_list",
                    default="1e-1,1e-2,1e-3,1e-4,1e-5,1e-6")
-    p.set_defaults(fn=cmd_bound)
 
-    p = sub.add_parser("exponent", help="error-exponent bounds")
-    common(p)
+    p = command("exponent", cmd_exponent, "error-exponent bounds", vectors=True)
     p.add_argument("--p1", required=True)
     p.add_argument("--q1", required=True)
     p.add_argument("--p2", required=True)
     p.add_argument("--q2", required=True)
     p.add_argument("--optimized", action="store_true")
-    p.set_defaults(fn=cmd_exponent)
 
-    p = sub.add_parser("catalyst", help="block-catalyst construction")
-    common(p)
+    p = command("catalyst", cmd_catalyst, "block-catalyst construction", vectors=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--rho-prime", dest="rho_prime", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--eta-prime", dest="eta_prime", required=True)
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--xi-mode", dest="xi_mode", default="exact_surrogate")
-    p.set_defaults(fn=cmd_catalyst)
 
-    p = sub.add_parser("verify", help="run invariant suites")
+    p = command("verify", cmd_verify, "run invariant suites", seed=True, emits=False)
     p.add_argument("--suite", default="all",
                    help="comma list of suites or 'all'")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 

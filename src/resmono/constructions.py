@@ -478,10 +478,13 @@ def classify_simplex_regions(p, gamma, grid_n: int, alpha_grid=None,
     if pv.shape != (3,) or gv.shape != (3,):
         raise DimensionMismatch(f"the 3-simplex needs p and gamma of 3 entries each, "
                                 f"got shapes {pv.shape} and {gv.shape}")
-    if not (np.all(pv >= 0.0) and abs(pv.sum() - 1.0) <= qmat.TRACE_TOL):
+    # entries are compared before the sums, which entries far above 1 overflow
+    if not (np.all((pv >= 0.0) & (pv <= 1.0 + qmat.TRACE_TOL))
+            and abs(pv.sum() - 1.0) <= qmat.TRACE_TOL):
         raise InputError(f"p must be a distribution: entries >= 0 summing to 1 "
                          f"within {qmat.TRACE_TOL:g}, got {pv.tolist()}")
-    if not (np.all(gv > 0.0) and abs(gv.sum() - 1.0) <= qmat.TRACE_TOL):
+    if not (np.all((gv > 0.0) & (gv <= 1.0 + qmat.TRACE_TOL))
+            and abs(gv.sum() - 1.0) <= qmat.TRACE_TOL):
         raise InvalidGibbs(f"gamma must have entries > 0 summing to 1 within "
                            f"{qmat.TRACE_TOL:g}, got {gv.tolist()}")
     if alpha_grid is None:

@@ -14,8 +14,12 @@ below 1.
 sandwiched, umegaki, dmax and rel_entropy_variance decide classical versus
 quantum themselves: when both arguments are distributions (qmat.is_classical),
 they return the classical fast path below, which is the same divergence of the
-diagonal embeddings. A distribution paired with a matrix is embedded on the
-diagonal.
+diagonal embeddings. The exception is a sigma with an eigenvalue under mass of
+rho at the spectral clip floor qmat.KERNEL_TOL (alpha < 1) or at most
+qmat.SUPPORT_RTOL times its largest (alpha > 1): the quantum path treats that
+eigenvalue as kernel and the classical path keeps it, so the two can differ
+(the strict xfails of test_divergences_near_the_support_tolerance). A
+distribution paired with a matrix is embedded on the diagonal.
 """
 
 from __future__ import annotations

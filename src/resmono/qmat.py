@@ -83,6 +83,9 @@ class ClassicalDist:
             raise ValueError("vector has a NaN or infinite entry")
         if np.min(probs) < -SUM_TOL:
             raise ValueError(f"negative entry {np.min(probs):.3e}")
+        # an entry above 1 is refused before the sum, which it could overflow
+        if np.max(probs) > 1.0 + SUM_TOL:
+            raise ValueError(f"entry {np.max(probs)} exceeds 1")
         if probs.sum() > 1.0 + SUM_TOL:
             raise ValueError(f"sum {probs.sum()} exceeds 1")
         self.dim = probs.shape[0]
@@ -409,10 +412,3 @@ def matrix_from_json(s: str) -> np.ndarray:
     im = np.asarray(obj["im"], dtype=float).reshape(d, d)
     return re + 1j * im
 
-
-def dist_to_json(p) -> str:
-    return json.dumps(probs(p).tolist())
-
-
-def dist_from_json(s: str) -> ClassicalDist:
-    return ClassicalDist(np.asarray(json.loads(s), dtype=float))

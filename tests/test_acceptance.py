@@ -209,8 +209,7 @@ def test_criterion_08_duan_blocks():
                 noise /= noise.sum()
                 t = 0.02 + 0.05 * rng.random()
                 xi.append((1 - t) * target + t * noise)
-            noisy = ct.duan_catalyst(p, pp, eta, eta, n=n, xi_mode="supplied",
-                                     xi_list=xi)
+            noisy = ct.duan_catalyst(p, pp, eta, eta, n=n, xi_list=xi)
             worst_chain = min(worst_chain, 2.0 * noisy.xi_eps0 + 1e-10 - noisy.p_tau)
     assert worst_fe >= -1e-10
     assert worst_chain >= 0.0

@@ -9,7 +9,7 @@ from resmono import divergences as dv
 from resmono import monotones as mn
 from resmono import qmat
 from resmono.errors import (AlphaOutOfRange, DegenerateVariance,
-                            DimensionOverflow, HypothesisViolated, InvalidXi,
+                            DimensionOverflow, HypothesisViolated, InputError, InvalidXi,
                             TheoryUnsupported)
 
 
@@ -32,7 +32,6 @@ def test_q_bound_formula_matches_scalar_arithmetic():
     expected = min(1.0, eps ** alpha / (q_rho - q_rhop))
     assert abs(cb.q_bound - expected) <= 1e-12
     assert abs(cb.d_alpha_nu_lb - math.log2(expected) / (alpha - 1.0)) <= 1e-12
-    assert cb.d_nu_lb == cb.d_alpha_nu_lb == cb.log_rob_lb
 
 
 def test_q_bound_eps_to_zero_diverges():
@@ -219,17 +218,16 @@ def test_duan_supplied_noisy_xi_error_chain():
         noise = rng.random(target.shape[0])
         noise /= noise.sum()
         xi.append(0.97 * target + 0.03 * noise)
-    rep = ct.duan_catalyst(RHO, RHOP, ETA, ETA, n=n, xi_mode="supplied", xi_list=xi)
+    rep = ct.duan_catalyst(RHO, RHOP, ETA, ETA, n=n, xi_list=xi)
     assert rep.xi_eps0 > 0
     assert rep.p_tau <= 2.0 * rep.xi_eps0 + 1e-10
 
 
 def test_duan_validation_errors():
     with pytest.raises(InvalidXi):
-        ct.duan_catalyst(RHO, RHOP, ETA, ETA, n=2, xi_mode="supplied",
-                         xi_list=[np.array([0.9, 0.05])])
-    with pytest.raises(InvalidXi):
-        ct.duan_catalyst(RHO, RHOP, ETA, ETA, n=2, xi_mode="bogus")
+        ct.duan_catalyst(RHO, RHOP, ETA, ETA, n=2, xi_list=[np.array([0.9, 0.05])])
+    with pytest.raises(InputError, match="^eta_prime must be a distribution"):
+        ct.duan_catalyst(RHO, RHOP, ETA, np.array([1e308, 1e308]), n=2)
     with pytest.raises(DimensionOverflow):
         ct.duan_catalyst(RHO, RHOP, ETA, ETA, n=14)
 

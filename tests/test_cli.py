@@ -232,6 +232,43 @@ def test_verify_takes_no_output_options(tmp_path):
     assert not out.exists()
 
 
+# runs that succeed as they stand, so that only an added flag can make them exit 2
+QUICK_ARGV = {
+    "divergence": ["divergence", "--p", "0.5,0.5", "--q", "0.3,0.7"],
+    "smooth": ["smooth", "--appendix-b", "--restarts", "1", "--iters", "5"],
+    "regions": ["regions", "--p", "2/3,1/12,3/12", "--gamma", "7/10,2/10,1/10", "--grid", "3",
+                "--alpha-points", "2"],
+    "sweep": ["sweep", "--gamma", "0.999,0.001", "--grid", "3", "--theta-points", "8"],
+    "pairs": ["pairs", "--which", "entanglement"],
+    "bound": ["bound", "--eps-list", "1e-1,1e-2"],
+    "exponent": ["exponent", "--p1", "0.6,0.4", "--q1", "0.5,0.5", "--p2", "0.55,0.45",
+                 "--q2", "0.5,0.5"],
+    "catalyst": ["catalyst", "--rho", "0.8,0.2", "--rho-prime", "0.6,0.4", "--eta", "0.5,0.5",
+                 "--eta-prime", "0.5,0.5", "--n", "2"],
+}
+UNREAD_FLAGS = ([(cmd, ["--seed", "1"]) for cmd in ("divergence", "regions", "sweep", "pairs",
+                                                    "bound", "exponent", "catalyst")]
+                + [(cmd, ["--rationalize", "10"]) for cmd in ("smooth", "pairs", "bound")]
+                + [("catalyst", ["--xi-mode", "exact_surrogate"])])
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{cmd}{flag[0]}" for cmd, flag in UNREAD_FLAGS])
+def test_flag_the_command_does_not_read_exits_two(command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(QUICK_ARGV[command] + flag)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["monotone", "--theory", "coherence", "--alpha", "2", "--p", "0.6,0.4", "--seed", "1"],
+    QUICK_ARGV["smooth"] + ["--seed", "1"],
+    ["verify", "--suite", "qmat", "--seed", "1"],
+], ids=["monotone", "smooth", "verify"])
+def test_seed_is_taken_where_it_is_read(argv):
+    assert run_cli(argv)[0] == 0
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["monotone"])     # missing required --theory
@@ -239,6 +276,15 @@ def test_usage_error_exit_two():
 
 
 REGIONS_ARGV = ["regions", "--p", "2/3,1/12,3/12", "--gamma", "7/10,2/10,1/10"]
+# vectors whose entries overflow any sum or product: refused before one is formed
+HUGE_ENTRY_ARGV = [
+    ["exponent", "--p1", "1e308,1e308", "--q1", "0.5,0.5", "--p2", "0.5,0.5", "--q2", "0.5,0.5"],
+    ["monotone", "--theory", "coherence", "--p", "1e308,1e308"],
+    ["regions", "--p", "1e308,1e308,0", "--gamma", "0.3,0.3,0.4", "--grid", "3"],
+    ["catalyst", "--rho", "1e308,1e308", "--rho-prime", "0.6,0.4", "--eta", "0.5,0.5",
+     "--eta-prime", "0.5,0.5", "--n", "3"],
+]
+HUGE_ENTRY_IDS = ["exponent_p1_huge", "monotone_p_huge", "regions_p_huge", "catalyst_rho_huge"]
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +378,7 @@ def run_cli_err(argv):
     CATALYST_ARGV[:6] + ["0.5,nan"] + CATALYST_ARGV[7:],
     ["exponent", "--p1", "0.6,0.4", "--q1", "0.5,0.5", "--p2=1.5,-0.5", "--q2", "0.5,0.5"],
     ["divergence", "--kind", "classical", "--alpha", "0.5", "--p=2,-1", "--q", "0.5,0.5"],
+    *HUGE_ENTRY_ARGV,
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -349,7 +396,8 @@ def run_cli_err(argv):
         "sweep_gamma_nan_second", "monotone_alpha_minus_inf", "monotone_state_not_state",
         "monotone_state_trace_two", "monotone_state_nan_entry", "divergence_rho_nan_entry",
         "verify_unknown_suite", "verify_empty_suite", "monotone_p_inf_minus_inf",
-        "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative"])
+        "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative",
+        *HUGE_ENTRY_IDS])
 def test_bad_input_exit_two(argv, matrix_files):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -379,16 +427,19 @@ def test_bad_input_exit_two(argv, matrix_files):
      "--p2 must have finite entries, none below -1e-12"),
     (["divergence", "--kind", "classical", "--alpha", "0.5", "--p=2,-1", "--q", "0.5,0.5"],
      "--p must have finite entries"),
+    *zip(HUGE_ENTRY_ARGV, ["--p1: entry 1e+308 exceeds 1", "--p: entry 1e+308 exceeds 1",
+                           "p must be a distribution", "rho must be a distribution"]),
 ], ids=["sandwiched_alpha_nan", "smooth_alpha_inf", "smooth_alpha_minus_inf", "smooth_shapes",
         "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p", "sweep_grid_zero",
-        "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative"])
+        "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative", *HUGE_ENTRY_IDS])
 def test_bad_input_names_the_input(argv, named, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
     assert named in err
 
 
-FUZZ_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 0.5]),
+# 1e308: entries whose sums and products overflow
+FUZZ_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 0.5, 1e308]),
                         st.floats(allow_nan=True, allow_infinity=True))
 
 
@@ -431,6 +482,9 @@ def _pair_of(x):
 FUZZ_ARGV = {
     "monotone": lambda x, y: ["monotone", "--theory", "coherence", f"--alpha={x!r}",
                               f"--p={_pair_of(y)}"],
+    # an equal pair, which a large x takes far above 1
+    "monotone_athermality": lambda x, y: ["monotone", "--theory", "athermality",
+                                          f"--p={x!r},{x!r}", f"--gamma={_pair_of(y)}"],
     "bound": lambda x, y: ["bound", f"--alpha={x!r}", f"--eps-list={y!r},1e-2"],
     "exponent": lambda x, y: ["exponent", f"--p1={_pair_of(x)}", "--q1", "0.5,0.5",
                               f"--p2={_pair_of(y)}", "--q2", "0.5,0.5", "--optimized"],
@@ -441,6 +495,8 @@ FUZZ_ARGV = {
 
 @pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
 @settings(max_examples=30, deadline=None)
+@example(x=1e308, y=0.5)
+@example(x=0.5, y=1e308)
 @given(x=FUZZ_FLOATS, y=FUZZ_FLOATS)
 def test_argv_fuzz_exit_codes_more_commands(command, x, y):
     _assert_clean_exit(FUZZ_ARGV[command](x, y))

@@ -222,9 +222,6 @@ def test_matrix_json_roundtrip():
     rho = qmat.random_state(3, 3, seed=4).data
     back = qmat.matrix_from_json(qmat.matrix_to_json(rho))
     assert np.max(np.abs(back - rho)) <= 1e-15
-    p = qmat.ClassicalDist(np.array([0.5, 0.25, 0.25]))
-    back_p = qmat.dist_from_json(qmat.dist_to_json(p))
-    assert np.max(np.abs(back_p.probs - p.probs)) <= 1e-15
 
 
 def test_density_operator_validation():
