@@ -123,14 +123,71 @@ class OptimizedExponent:
     kappa: float
 
 
+def _nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int):
+    """(x, f) at the best vertex of a Nelder-Mead simplex run on func from x0.
+
+    A port of scipy 1.17's scipy.optimize.minimize(method="Nelder-Mead")
+    without bounds or adaptive coefficients: the same initial simplex (each
+    coordinate in turn scaled by 1 + 0.05, or set to 0.00025 where it is 0),
+    reflection 1, expansion 2, contraction and shrink 1/2, the same order of
+    operations and the same stop test, and func gets a copy of each vertex.
+    So it returns scipy's x and fun bit for bit, without the memory and
+    start-up time of importing scipy.optimize.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(np.copy(v)) for v in sim], dtype=float)
+    # sorted twice, as scipy does: argsort need not be stable, so ties may move
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    for _ in range(1, maxiter):
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # contract outside when the reflection beats the worst vertex,
+            # inside otherwise; shrink toward the best when that fails too
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(np.copy(xc))
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(np.copy(xc))
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(np.copy(sim[j]))
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
     """Maximize kappa(d1, d2) / (1/d1 + 2/d2) over the admissible deltas.
 
     kappa = D_(1-d1)(rho1||sigma1) - D_(1+d2)(rho2||sigma2); log-spaced grid
     followed by Nelder-Mead refinement in log-delta coordinates.
     """
-    from scipy import optimize     # loaded on first use: it is most of start-up
-
     deltas1 = np.geomspace(1e-6, 0.5, EXPONENT_GRID)
     deltas2 = np.geomspace(1e-6, 5.0, EXPONENT_GRID)
     d1_vals = np.array([dv.sandwiched(rho1, sigma1, 1.0 - d) for d in deltas1])
@@ -150,13 +207,12 @@ def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
             return 0.0
         return -k / (1.0 / da + 2.0 / db)
 
-    res = optimize.minimize(neg, [math.log(deltas1[i]), math.log(deltas2[j])],
-                            method="Nelder-Mead",
-                            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000})
-    if -res.fun >= vals[i, j]:
-        da = min(max(math.exp(res.x[0]), 1e-9), 0.5)
-        db = min(max(math.exp(res.x[1]), 1e-9), 5.0)
-        gamma = -res.fun
+    x, fun = _nelder_mead(neg, [math.log(deltas1[i]), math.log(deltas2[j])],
+                          xatol=1e-9, fatol=1e-12, maxiter=2000)
+    if -fun >= vals[i, j]:
+        da = min(max(math.exp(x[0]), 1e-9), 0.5)
+        db = min(max(math.exp(x[1]), 1e-9), 5.0)
+        gamma = -fun
     else:
         da, db, gamma = deltas1[i], deltas2[j], vals[i, j]
     k = dv.sandwiched(rho1, sigma1, 1.0 - da) - dv.sandwiched(rho2, sigma2, 1.0 + db)

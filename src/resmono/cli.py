@@ -150,6 +150,8 @@ def _state_arg(args, name_matrix, name_vector):
 def cmd_divergence(args):
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
     rho, _ = _state_arg(args, "rho", "p")
+    if rho.ndim == 1:
+        _classical(rho, "--p")
     sig, _ = _state_arg(args, "sigma", "q")
     # divergences decides between the classical and the quantum path itself
     val = {"classical": lambda: dv.classical_renyi(rho, sig, alpha),
@@ -166,7 +168,12 @@ def cmd_divergence(args):
 def _theory_from_args(args):
     if args.theory == "athermality":
         g, _ = _state_arg(args, "gamma_file", "gamma")
-        return mn.Athermality(g)
+        try:
+            return mn.Athermality(g)
+        except ValueError as exc:
+            if g.ndim != 1:
+                raise
+            raise InputError(f"--gamma: {exc}") from None
     if args.theory == "coherence":
         return mn.Coherence()
     d_a, d_b = (int(x) for x in args.dims.split(","))

@@ -10,17 +10,20 @@ The engine works on stacks of candidates (S, d, d). All starts descend
 together as one stack: each keeps its own step and backtracking, and stops
 on its own, when its gradient vanishes, when a round of backtracking finds
 no descent or at the iteration cap, or once it can no longer overtake the
-leader, the first start with the least value so far (_descend). Backtracking
-tries two steps, s and s/2, in one stacked projection, since most iterations
-reject the first and take the second. The winner is the first start, in
-start order, that reaches the strict minimum. A root fidelity is one
-eigvalsh of an r x r matrix, r = rank(rho). The retraction into a purified
-ball mixes each candidate outside it toward rho until its margin, the root
-fidelity minus the value the radius requires, turns >= 0. Concavity of the
-root fidelity bounds the mixing weight by some hi, and a regula-falsi search
-over the 4096 cells of [0, hi] finds the crossing cell with about three
-margin evaluations per candidate, stacked into about two eigvalsh calls per
-projection (_BallProjector, _cell_search).
+leader, the first start with the least value so far (_descend). What a
+start can still gain is its recent gains carried forward: as a geometric
+series where they decay, capped by the largest of them repeated over the
+iterations left (_remaining_gain). Backtracking tries two steps, s and s/2,
+in one stacked projection, since most iterations reject the first and take
+the second. The winner is the first start, in start order, that reaches the
+strict minimum. A root fidelity is one eigvalsh of an r x r matrix,
+r = rank(rho). The retraction into a purified ball mixes each candidate
+outside it toward rho until its margin, the root fidelity minus the value
+the radius requires, turns >= 0. Concavity of the root fidelity bounds the
+mixing weight by some hi, and a regula-falsi search over the 4096 cells of
+[0, hi] finds the crossing cell with about three margin evaluations per
+candidate, stacked into about two eigvalsh calls per projection
+(_BallProjector, _cell_search).
 
 Values from the descent are certified only as one-sided heuristic bounds: any
 feasible point lower-bounds a supremum and upper-bounds an infimum.
@@ -456,6 +459,29 @@ def _optimize(rho, sigma, spec: SmoothingSpec, objective, warm_starts=None) -> S
     return SmoothedValue(value, hermitize(best_c), cert)
 
 
+def _remaining_gain(recent: np.ndarray, left: int) -> np.ndarray:
+    """The gain each row of recent, its last WINDOW gains oldest first, is
+    taken to make over the next left iterations.
+
+    Gains that shrink by a factor r per step shrink by r^(WINDOW/2) from the
+    older half of the window to the newer one, so r is fitted from the sums
+    of the two halves. Where r < 1 the prediction is the rest of the
+    geometric series from g, the largest gain of the newer half,
+    g r (1 - r^left) / (1 - r), capped by the largest gain of the window
+    repeated left times, which is the prediction where r >= 1.
+    """
+    half = WINDOW // 2
+    linear = left * recent.max(axis=1)
+    # every gain is positive: a step is accepted only where Q falls
+    r = (recent[:, half:].sum(axis=1) / recent[:, :half].sum(axis=1)) ** (2.0 / WINDOW)
+    decaying = np.flatnonzero(r < 1.0)
+    r = r[decaying]
+    g = recent[decaying, half:].max(axis=1)
+    geometric = g * r * (1.0 - r ** left) / (1.0 - r)
+    linear[decaying] = np.minimum(geometric, linear[decaying])
+    return linear
+
+
 def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
     """Backtracking gradient descent on factors L of c = L L^dag, for every
     row of the stack c0 at once.
@@ -470,15 +496,17 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
     (Maron & Moore 1997). From iteration WINDOW on, the leader is the first
     row with the least best Q, live or stopped. A live row accepts a step or
     stops in every iteration, so its last WINDOW gains are always at hand.
-    Every other live row whose best Q, less its largest recent gain times
-    the iterations left, still lies above the leader's stops there. The
-    leader and the rows that tie it never stop by this rule, and no row
-    stops unless the leader's best point passes inside, the ball test that
-    _optimize applies to the returned points. The extrapolation is a
-    heuristic, not a bound: the minimization is not convex for alpha < 1, so
-    a stopped row could in principle have overtaken later. The tests check
-    that the reported value and optimizer equal those of the loop without
-    this rule.
+    Every other live row whose best Q, less the gain _remaining_gain
+    predicts from them over the iterations left, still lies above the
+    leader's stops there. The prediction follows the gains down where they
+    decay, and never exceeds the largest recent gain times the iterations
+    left, which is the prediction where they do not. The leader and the
+    rows that tie it never stop by this rule, and no row stops unless the
+    leader's best point passes inside, the ball test that _optimize applies
+    to the returned points. The extrapolation is a heuristic, not a bound:
+    the minimization is not convex for alpha < 1, so a stopped row could in
+    principle have overtaken later. The tests check that the reported value
+    and optimizer equal those of the loop without this rule.
 
     The trials go in pairs: each of up to 5 rounds projects, and evaluates,
     the candidates at step s and s/2 of every row still trying as one stack.
@@ -496,7 +524,7 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
     ell = np.empty_like(c)
     best_q, best_c = np.full(n, np.inf), c.copy()
     step = np.full(n, 0.1)
-    gains = np.zeros((n, WINDOW))
+    gains = np.zeros((n, WINDOW))     # each row's last WINDOW gains, oldest first
     live = np.ones(n, dtype=bool)
 
     def refresh(rows):
@@ -512,7 +540,7 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
         idx = np.flatnonzero(live)
         if it >= WINDOW:
             lead = int(np.argmin(best_q))
-            reach = best_q[idx] - (max_iters - it) * gains[idx].max(axis=1)
+            reach = best_q[idx] - _remaining_gain(gains[idx], max_iters - it)
             behind = idx[reach > best_q[lead]]
             if behind.size and inside(best_c[lead:lead + 1])[0]:
                 live[behind] = False
@@ -554,7 +582,8 @@ def _descend(obj, c0: np.ndarray, project, max_iters: int, inside):
         rows, q_old = idx[accepted], q[idx[accepted]]
         if not rows.size:
             break
-        gains[rows, it % WINDOW] = q_old - q_new[accepted]
+        gains[rows, :-1] = gains[rows, 1:]
+        gains[rows, -1] = q_old - q_new[accepted]
         c[rows] = cand[accepted]
         refresh(rows)
         step[rows] = np.minimum(step[rows] * 1.4, 1.0)

@@ -10,7 +10,7 @@ from resmono import monotones as mn
 from resmono import qmat
 from resmono.errors import (AlphaOutOfRange, DegenerateVariance,
                             DimensionOverflow, HypothesisViolated, InputError, InvalidXi,
-                            TheoryUnsupported)
+                            NoFeasiblePoint, TheoryUnsupported)
 
 
 def qutrit_pair():
@@ -144,7 +144,7 @@ def test_optimized_exponent_one_sided():
 
 
 def test_optimized_exponent_no_feasible_point():
-    with pytest.raises(NoFeasiblePointError := __import__("resmono.errors", fromlist=["NoFeasiblePoint"]).NoFeasiblePoint):
+    with pytest.raises(NoFeasiblePoint):
         ct.error_exponent_optimized(P2, Q2, P1, Q1)   # negative gap
 
 
@@ -168,6 +168,68 @@ def test_optimized_exponent_quadratic_trend():
     gb = ct.error_exponent_optimized(P1, Q1, pb, Q1).gamma
     ratio = ga / gb
     assert abs(ratio - 4.0) <= 0.8
+
+
+NM_OPTIONS = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000}
+
+
+def _scipy_nelder_mead(func, x0, **options):
+    """scipy's Nelder-Mead result on func, and the calls of func that each of
+    its iterations made."""
+    from scipy import optimize
+
+    calls, marks = [0], []
+
+    def counted(x):
+        calls[0] += 1
+        return func(x)
+
+    res = optimize.minimize(counted, x0, method="Nelder-Mead", options={**NM_OPTIONS, **options},
+                            callback=lambda xk: marks.append(calls[0]))
+    return res, np.diff([len(x0) + 1] + marks)
+
+
+def _same_bits(a, b):
+    return [float(v).hex() for v in np.ravel(a)] == [float(v).hex() for v in np.ravel(b)]
+
+
+def test_nelder_mead_matches_scipy_on_exponent_objectives(monkeypatch):
+    nelder_mead, same = ct._nelder_mead, []
+
+    def both(func, x0, xatol, fatol, maxiter):
+        x, fun = nelder_mead(func, x0, xatol, fatol, maxiter)
+        res, _ = _scipy_nelder_mead(func, x0, xatol=xatol, fatol=fatol, maxiter=maxiter)
+        same.append(_same_bits(x, res.x) and _same_bits(fun, res.fun))
+        return x, fun
+
+    monkeypatch.setattr(ct, "_nelder_mead", both)
+    rng = np.random.default_rng(25)
+    while len(same) < 40:
+        d = int(rng.integers(2, 5))
+        try:
+            ct.error_exponent_optimized(*(rng.dirichlet(np.ones(d)) for _ in range(4)))
+        except NoFeasiblePoint:
+            pass
+    assert all(same)
+
+
+def _rosenbrock(x):
+    return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+
+
+@pytest.mark.parametrize("x0, maxiter, shrinks", [
+    ([-1.2, 1.0], 2000, False), ([0.0, 0.0], 2000, False), ([3.6, 0.4], 2000, True),
+    ([-1.2, 1.0], 50, False),
+], ids=["classic_start", "zero_start", "shrinks", "hits_maxiter"])
+def test_nelder_mead_matches_scipy_on_rosenbrock(x0, maxiter, shrinks):
+    res, calls = _scipy_nelder_mead(_rosenbrock, x0, maxiter=maxiter)
+    x, fun = ct._nelder_mead(_rosenbrock, x0, 1e-9, 1e-12, maxiter)
+    assert _same_bits(x, res.x) and _same_bits(fun, res.fun)
+    # a shrink re-evaluates the two vertices other than the best after its
+    # two trial points, so its iteration makes four calls
+    assert (calls.max() > 2) == shrinks
+    # status 2: the iteration cap stopped the run
+    assert (res.status == 2) == (maxiter < 2000)
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,17 @@ HUGE_ENTRY_ARGV = [
     ["regions", "--p", "1e308,1e308,0", "--gamma", "0.3,0.3,0.4", "--grid", "3"],
     ["catalyst", "--rho", "1e308,1e308", "--rho-prime", "0.6,0.4", "--eta", "0.5,0.5",
      "--eta-prime", "0.5,0.5", "--n", "3"],
+    ["divergence", "--kind", "classical", "--alpha", "0.5", "--p", "1e308,1e308",
+     "--q", "0.5,0.5"],
+    ["divergence", "--kind", "umegaki", "--p", "1e308,1e308", "--q", "0.5,0.5"],
+    ["monotone", "--theory", "athermality", "--p", "0.5,0.5", "--gamma", "1e308,1e308"],
 ]
-HUGE_ENTRY_IDS = ["exponent_p1_huge", "monotone_p_huge", "regions_p_huge", "catalyst_rho_huge"]
+HUGE_ENTRY_IDS = ["exponent_p1_huge", "monotone_p_huge", "regions_p_huge", "catalyst_rho_huge",
+                  "divergence_classical_p_huge", "divergence_umegaki_p_huge",
+                  "athermality_gamma_huge"]
+# divergence --p must be a distribution, --q need not be
+DIVERGENCE_P_SUM_ARGV = ["divergence", "--kind", "petz", "--alpha", "0.5", "--p", "0.9,0.9",
+                         "--q", "0.5,0.5"]
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +387,7 @@ def run_cli_err(argv):
     CATALYST_ARGV[:6] + ["0.5,nan"] + CATALYST_ARGV[7:],
     ["exponent", "--p1", "0.6,0.4", "--q1", "0.5,0.5", "--p2=1.5,-0.5", "--q2", "0.5,0.5"],
     ["divergence", "--kind", "classical", "--alpha", "0.5", "--p=2,-1", "--q", "0.5,0.5"],
+    DIVERGENCE_P_SUM_ARGV,
     *HUGE_ENTRY_ARGV,
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
@@ -397,7 +407,7 @@ def run_cli_err(argv):
         "monotone_state_trace_two", "monotone_state_nan_entry", "divergence_rho_nan_entry",
         "verify_unknown_suite", "verify_empty_suite", "monotone_p_inf_minus_inf",
         "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative",
-        *HUGE_ENTRY_IDS])
+        "divergence_p_sum_above_one", *HUGE_ENTRY_IDS])
 def test_bad_input_exit_two(argv, matrix_files):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -427,11 +437,17 @@ def test_bad_input_exit_two(argv, matrix_files):
      "--p2 must have finite entries, none below -1e-12"),
     (["divergence", "--kind", "classical", "--alpha", "0.5", "--p=2,-1", "--q", "0.5,0.5"],
      "--p must have finite entries"),
+    (DIVERGENCE_P_SUM_ARGV, "--p: sum 1.8 exceeds 1"),
+    (["monotone", "--theory", "athermality", "--p", "0.5,0.5", "--gamma", "0.3,0.3"],
+     "--gamma: Gibbs state must be normalized"),
     *zip(HUGE_ENTRY_ARGV, ["--p1: entry 1e+308 exceeds 1", "--p: entry 1e+308 exceeds 1",
-                           "p must be a distribution", "rho must be a distribution"]),
+                           "p must be a distribution", "rho must be a distribution",
+                           "--p: entry 1e+308 exceeds 1", "--p: entry 1e+308 exceeds 1",
+                           "--gamma: entry 1e+308 exceeds 1"]),
 ], ids=["sandwiched_alpha_nan", "smooth_alpha_inf", "smooth_alpha_minus_inf", "smooth_shapes",
         "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p", "sweep_grid_zero",
-        "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative", *HUGE_ENTRY_IDS])
+        "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative",
+        "divergence_p_sum_above_one", "athermality_gamma_not_normalized", *HUGE_ENTRY_IDS])
 def test_bad_input_names_the_input(argv, named, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
@@ -648,6 +664,29 @@ def test_closed_pipe_exits_one_without_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_readme_examples_leave_scipy_optimize_unloaded():
+    # importing scipy.optimize adds about 48 MB and most of the start-up
+    # time; of the README examples only the coherence monotone (whose dual
+    # runs L-BFGS-B at other orders) and verify may need it
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        examples = [line.split("#")[0].split()[1:] for line in fh if line.startswith("resmono ")]
+    examples = [argv for argv in examples
+                if argv[0] != "verify" and argv[:3] != ["monotone", "--theory", "coherence"]]
+    assert len(examples) == 8
+    script = ("import contextlib, io, json, sys\n"
+              "from resmono import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(resmono.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(examples)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_determinism_byte_identical():

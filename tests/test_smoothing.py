@@ -218,6 +218,17 @@ class _CountingObjective:
         return self.obj.qg(c)
 
 
+def _remaining_gain(window, left):
+    """sm._remaining_gain for one row, its last WINDOW gains oldest first."""
+    half = sm.WINDOW // 2
+    linear = left * max(window)
+    r = (np.sum(window[half:]) / np.sum(window[:half])) ** (2.0 / sm.WINDOW)
+    if not r < 1.0:
+        return linear
+    g = max(window[half:])
+    return min(g * r * (1.0 - r ** left) / (1.0 - r), linear)
+
+
 def _sequential_descend(obj, c0, project, max_iters, inside, exhausted):
     """_descend with one projection per backtracking trial: the reference that
     the paired trials must match bit for bit, leader rule included.
@@ -245,7 +256,8 @@ def _sequential_descend(obj, c0, project, max_iters, inside, exhausted):
         if it >= sm.WINDOW:
             lead = min(range(n), key=lambda r: best_q[r])
             behind = [r for r in np.flatnonzero(live)
-                      if best_q[r] - (max_iters - it) * max(gains[r][-sm.WINDOW:]) > best_q[lead]]
+                      if best_q[r] - _remaining_gain(gains[r][-sm.WINDOW:], max_iters - it)
+                      > best_q[lead]]
             if behind and inside(best_c[lead:lead + 1])[0]:
                 live[behind] = False
         idx = np.flatnonzero(live)
@@ -519,6 +531,19 @@ def test_leader_rule_keeps_alpha_above_one(monkeypatch, alpha, ball, singular):
     _assert_same_reports(monkeypatch, lambda: sm.smoothed_sandwiched(rho, sig, spec))
 
 
+def test_remaining_gain_follows_decaying_gains_up_to_the_linear_cap():
+    half, left = sm.WINDOW // 2, 100
+    recent = np.array([0.9 ** np.arange(sm.WINDOW), np.full(sm.WINDOW, 1e-3),
+                       1.1 ** np.arange(sm.WINDOW)])
+    got = sm._remaining_gain(recent, left)
+    # gains shrinking by 0.9 a step: the rest of the series from the largest
+    # gain of the newer half, far below that gain repeated left times
+    assert got[0] == pytest.approx(0.9 ** half * 0.9 * (1 - 0.9 ** left) / (1 - 0.9), rel=1e-12)
+    assert got[0] < 0.1 * left * 0.9 ** half
+    # flat or growing gains: the largest repeated left times
+    assert got[1] == left * 1e-3 and got[2] == left * recent[2].max()
+
+
 class _Ramps:
     """Q = h(x) on 1 x 1 candidates c = x^2: h = -x down to its minimum -100
     at x = 100, x - 200 up to x = 300, and -60 + (x - 300) / 1000 from there
@@ -592,6 +617,29 @@ def test_leader_rule_thins_the_appendix_b_stack(objective):
     stopped = np.flatnonzero(q != q_ref)
     assert stopped.size >= 3 and lead not in stopped
     assert np.all(q[stopped] > q[lead]) and np.all(q_ref[stopped] > q_ref[lead])
+
+
+def test_leader_rule_stops_the_appendix_b_random_starts_at_the_first_check():
+    # sandwiched_normalized_3d at the README budget (alpha 0.75, eps 0.1, 8
+    # random starts, 500 iterations): a structured start leads from the
+    # first iteration, and the gains of the random starts decay, so each
+    # stops at the first check, iteration WINDOW. Extrapolated linearly,
+    # their largest recent gains kept them live to iterations 160-307.
+    proj = sm._BallProjector(RHO3, 0.1, sm.Ball.NORMALIZED_PURIFIED)
+    structured = sm._structured_starts(RHO3, SIG3, 0.1, proj.ball)
+    c0, ok = proj.project(np.array(structured + sm._random_starts(RHO3, 0.1, 8, seed=0)))
+    assert ok.all() and proj.inside(c0).all()
+    obj = sm._SandwichedObjective(SIG3, 0.75)
+    q, c = sm._descend(obj, c0, proj.project, 500, proj.inside)
+    q_ref, c_ref = _descend_unpruned(obj, c0, proj.project, 500)
+    win = int(np.argmin(q_ref))
+    assert int(np.argmin(q)) == win < len(structured)
+    assert q[win] == q_ref[win] and np.array_equal(c[win], c_ref[win])
+    for i in range(len(structured), len(c0)):
+        # the random start took exactly WINDOW steps, and would have gone on
+        q_window, c_window = _descend_unpruned(obj, c0[i:i + 1], proj.project, sm.WINDOW)
+        assert q[i] == q_window[0] and np.array_equal(c[i], c_window[0])
+        assert q_ref[i] < q[i]
 
 
 def test_petz_recovery_lifts_and_lets_faults_through():
