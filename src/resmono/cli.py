@@ -137,10 +137,10 @@ def _classical(v, flag) -> qmat.ClassicalDist:
 def _state_arg(args, name_matrix, name_vector):
     path = getattr(args, name_matrix, None)
     if path:
-        return load_matrix(path, name_matrix), None
+        return load_matrix(path, name_matrix)
     if getattr(args, name_vector, None) is None:
         raise InputError(f"need --{name_matrix.replace('_', '-')} or --{name_vector.replace('_', '-')}")
-    return parse_vector(args, name_vector)
+    return parse_vector(args, name_vector)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +149,10 @@ def _state_arg(args, name_matrix, name_vector):
 
 def cmd_divergence(args):
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
-    rho, _ = _state_arg(args, "rho", "p")
+    rho = _state_arg(args, "rho", "p")
     if rho.ndim == 1:
         _classical(rho, "--p")
-    sig, _ = _state_arg(args, "sigma", "q")
+    sig = _state_arg(args, "sigma", "q")
     # divergences decides between the classical and the quantum path itself
     val = {"classical": lambda: dv.classical_renyi(rho, sig, alpha),
            "sandwiched": lambda: dv.sandwiched(rho, sig, alpha),
@@ -167,13 +167,12 @@ def cmd_divergence(args):
 
 def _theory_from_args(args):
     if args.theory == "athermality":
-        g, _ = _state_arg(args, "gamma_file", "gamma")
+        g = _state_arg(args, "gamma_file", "gamma")
         try:
             return mn.Athermality(g)
         except ValueError as exc:
-            if g.ndim != 1:
-                raise
-            raise InputError(f"--gamma: {exc}") from None
+            flag = "--gamma" if g.ndim == 1 else f"--gamma-file {args.gamma_file}"
+            raise InputError(f"{flag}: {exc}") from None
     if args.theory == "coherence":
         return mn.Coherence()
     d_a, d_b = (int(x) for x in args.dims.split(","))
@@ -182,7 +181,7 @@ def _theory_from_args(args):
 
 def cmd_monotone(args):
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
-    state, _ = _state_arg(args, "state", "p")
+    state = _state_arg(args, "state", "p")
     theory = _theory_from_args(args)
     if state.ndim == 1:
         state = _classical(state, "--p")

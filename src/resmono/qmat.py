@@ -325,21 +325,6 @@ def apply_channel(rho, ch: KrausChannel) -> np.ndarray:
     return hermitize(out)
 
 
-def dephasing_channel(d: int) -> KrausChannel:
-    """Full dephasing in the computational basis."""
-    eye = np.eye(d, dtype=complex)
-    return KrausChannel([np.outer(eye[:, i], eye[:, i]) for i in range(d)])
-
-
-def embedding_isometry_channel(d_in: int, d_out: int) -> KrausChannel:
-    """Isometric embedding of C^d_in into the first d_in coordinates of C^d_out."""
-    if d_out < d_in:
-        raise DimensionMismatch("output dimension must not shrink")
-    v = np.zeros((d_out, d_in), dtype=complex)
-    v[:d_in, :] = np.eye(d_in)
-    return KrausChannel([v])
-
-
 # ---------------------------------------------------------------------------
 # random instances
 # ---------------------------------------------------------------------------
@@ -379,17 +364,6 @@ def vn_entropy(rho) -> float:
     w = np.clip(np.linalg.eigvalsh(hermitize(asmat(rho))), 0.0, None)
     w = w[w > 0]
     return float(-(w * np.log2(w)).sum())
-
-
-def mutual_information(tau, dims) -> float:
-    """I(S:C) = H(S) + H(C) - H(SC) in bits for a normalized bipartite state."""
-    t = asmat(tau)
-    d_s, d_c = dims
-    if t.shape[0] != d_s * d_c:
-        raise DimensionMismatch(f"dims {dims} do not match state of size {t.shape[0]}")
-    h_s = vn_entropy(partial_trace(t, [d_s, d_c], [0]))
-    h_c = vn_entropy(partial_trace(t, [d_s, d_c], [1]))
-    return h_s + h_c - vn_entropy(t)
 
 
 # ---------------------------------------------------------------------------

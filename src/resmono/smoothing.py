@@ -50,7 +50,7 @@ import numpy as np
 
 from . import qmat
 from .divergences import _pair
-from .errors import AlphaOutOfRange, DimensionCap, ResmonoError, TheoryUnsupported
+from .errors import AlphaOutOfRange, DimensionCap, ResmonoError
 from .qmat import asmat, dag, hermitize, mpow, sqrtm_psd
 
 DIM_CAP = 16
@@ -424,6 +424,8 @@ def _optimize(rho, sigma, spec: SmoothingSpec, objective, warm_starts=None) -> S
         # the divergence is +inf off supp(sigma): confine candidates to it
         w, u = qmat.eigh(sigma)
         keep = qmat.support_mask(w)
+        if not keep.any():      # sigma = 0: every candidate has mass off its support
+            return SmoothedValue(math.inf, None, cert)
         if not keep.all():
             compress = u[:, keep]
             sig = dag(compress) @ sigma @ compress
@@ -616,33 +618,6 @@ def _smoothed_petz(rho, sigma, spec: SmoothingSpec) -> SmoothedValue:
     if not (0.0 < alpha < 1.0 or 1.0 < alpha <= 2.0):
         raise AlphaOutOfRange(f"Petz smoothing needs alpha in (0,1)U(1,2], got {alpha}")
     return _optimize(rho, sigma, spec, _PetzObjective)
-
-
-def smoothed_monotone(rho, theory, alpha: float, epsilon: float,
-                      restarts: int = 10, max_iters: int = 800, seed: int = 0) -> SmoothedValue:
-    """Smoothed resource monotone min over free sigma of the smoothed divergence.
-
-    Athermality has a singleton free set, so this is one smoothing run; for
-    coherence the nested min-max is attacked by alternating optimization and
-    the result is reported as a heuristic lower bound at the final sigma.
-    """
-    from . import monotones as mn
-
-    spec = SmoothingSpec(epsilon=epsilon, alpha=alpha, restarts=restarts,
-                         max_iters=max_iters, seed=seed)
-    if isinstance(theory, mn.Athermality):
-        return smoothed_sandwiched(rho, theory.gibbs, spec)
-    if isinstance(theory, mn.Coherence):
-        r = asmat(rho)
-        q = mn.coherence_monotone(r, alpha, restarts=6)[1]
-        sv = None
-        for _ in range(3):
-            sv = smoothed_sandwiched(r, np.diag(q.astype(complex)), spec)
-            if sv.optimizer is None:
-                break
-            q = mn.coherence_monotone(sv.optimizer, alpha, restarts=6)[1]
-        return sv
-    raise TheoryUnsupported(f"smoothed monotone not available for {type(theory).__name__}")
 
 
 def dp_check(rho, sigma, channel, alpha: float, epsilon: float,

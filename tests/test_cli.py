@@ -291,6 +291,10 @@ HUGE_ENTRY_ARGV = [
 HUGE_ENTRY_IDS = ["exponent_p1_huge", "monotone_p_huge", "regions_p_huge", "catalyst_rho_huge",
                   "divergence_classical_p_huge", "divergence_umegaki_p_huge",
                   "athermality_gamma_huge"]
+# Gibbs matrix files that are not normalized, or not positive definite
+GAMMA_FILE_ARGV = [["monotone", "--theory", "athermality", "--p", "0.5,0.5", "--gamma-file", f]
+                   for f in ("{gamma_trace_0_6}", "{gamma_indefinite}")]
+GAMMA_FILE_IDS = ["athermality_gamma_file_trace_0_6", "athermality_gamma_file_indefinite"]
 # divergence --p must be a distribution, --q need not be
 DIVERGENCE_P_SUM_ARGV = ["divergence", "--kind", "petz", "--alpha", "0.5", "--p", "0.9,0.9",
                          "--q", "0.5,0.5"]
@@ -304,7 +308,9 @@ def matrix_files(tmp_path_factory):
             "state3": qmat.random_state(3, 3, seed=0).data,
             "not_state": np.diag([1.5, -0.5, 0.0]).astype(complex),
             "trace_two": np.diag([1.2, 0.8]).astype(complex),
-            "nan_entry": np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)}
+            "nan_entry": np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex),
+            "gamma_trace_0_6": np.diag([0.3, 0.3]).astype(complex),
+            "gamma_indefinite": np.diag([0.5, -0.5]).astype(complex)}
     root = tmp_path_factory.mktemp("matrices")
     paths = {}
     for name, m in mats.items():
@@ -388,6 +394,7 @@ def run_cli_err(argv):
     ["exponent", "--p1", "0.6,0.4", "--q1", "0.5,0.5", "--p2=1.5,-0.5", "--q2", "0.5,0.5"],
     ["divergence", "--kind", "classical", "--alpha", "0.5", "--p=2,-1", "--q", "0.5,0.5"],
     DIVERGENCE_P_SUM_ARGV,
+    *GAMMA_FILE_ARGV,
     *HUGE_ENTRY_ARGV,
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
@@ -407,7 +414,7 @@ def run_cli_err(argv):
         "monotone_state_trace_two", "monotone_state_nan_entry", "divergence_rho_nan_entry",
         "verify_unknown_suite", "verify_empty_suite", "monotone_p_inf_minus_inf",
         "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative",
-        "divergence_p_sum_above_one", *HUGE_ENTRY_IDS])
+        "divergence_p_sum_above_one", *GAMMA_FILE_IDS, *HUGE_ENTRY_IDS])
 def test_bad_input_exit_two(argv, matrix_files):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -440,6 +447,7 @@ def test_bad_input_exit_two(argv, matrix_files):
     (DIVERGENCE_P_SUM_ARGV, "--p: sum 1.8 exceeds 1"),
     (["monotone", "--theory", "athermality", "--p", "0.5,0.5", "--gamma", "0.3,0.3"],
      "--gamma: Gibbs state must be normalized"),
+    *zip(GAMMA_FILE_ARGV, ["--gamma-file ", "--gamma-file "]),
     *zip(HUGE_ENTRY_ARGV, ["--p1: entry 1e+308 exceeds 1", "--p: entry 1e+308 exceeds 1",
                            "p must be a distribution", "rho must be a distribution",
                            "--p: entry 1e+308 exceeds 1", "--p: entry 1e+308 exceeds 1",
@@ -447,7 +455,8 @@ def test_bad_input_exit_two(argv, matrix_files):
 ], ids=["sandwiched_alpha_nan", "smooth_alpha_inf", "smooth_alpha_minus_inf", "smooth_shapes",
         "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p", "sweep_grid_zero",
         "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative",
-        "divergence_p_sum_above_one", "athermality_gamma_not_normalized", *HUGE_ENTRY_IDS])
+        "divergence_p_sum_above_one", "athermality_gamma_not_normalized", *GAMMA_FILE_IDS,
+        *HUGE_ENTRY_IDS])
 def test_bad_input_names_the_input(argv, named, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
@@ -519,11 +528,11 @@ def test_argv_fuzz_exit_codes_more_commands(command, x, y):
 
 
 @st.composite
-def _hermitian(draw):
-    """2x2 to 4x4 Hermitian matrices: states, scaled states (trace 0 to 3),
-    states with a zero row and column, indefinite ones, and states with a
-    NaN or infinite entry."""
-    n = draw(st.integers(2, 4))
+def _hermitian(draw, n=None):
+    """n x n Hermitian matrices, 2x2 to 4x4 where n is None: states, scaled
+    states (trace 0 to 3), states with a zero row and column, indefinite ones,
+    and states with a NaN or infinite entry."""
+    n = draw(st.integers(2, 4)) if n is None else n
     block = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
     g = np.reshape(draw(block), (n, n)) + 1j * np.reshape(draw(block), (n, n))
     kind = draw(st.sampled_from(["state", "indefinite", "zero_row", "non_finite"]))
@@ -540,17 +549,46 @@ def _hermitian(draw):
     return m
 
 
+def _assert_clean_exit_with_files(argv, **mats):
+    """_assert_clean_exit on argv, with each token {name} replaced by the path
+    of a JSON file that holds the matrix mats[name]."""
+    with tempfile.TemporaryDirectory() as root:
+        paths = {}
+        for name, m in mats.items():
+            paths[name] = os.path.join(root, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                fh.write(qmat.matrix_to_json(m))
+        _assert_clean_exit(_with_files(argv, paths))
+
+
 @settings(max_examples=30, deadline=None)
 @example(m=np.diag([0.5, 0.0, 0.5]).astype(complex))
 @example(m=np.array([[0.5, 0.5], [0.5, math.nan]], dtype=complex))
 @given(m=_hermitian())
 def test_argv_fuzz_monotone_robustness_state_file(m):
-    with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "state.json")
-        with open(path, "w") as fh:
-            fh.write(qmat.matrix_to_json(m))
-        _assert_clean_exit(["monotone", "--theory", "coherence", "--alpha", "inf",
-                            "--state", path])
+    _assert_clean_exit_with_files(["monotone", "--theory", "coherence", "--alpha", "inf",
+                                   "--state", "{state}"], state=m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=st.integers(2, 4).flatmap(lambda n: st.tuples(_hermitian(n), _hermitian(n))),
+       alpha=st.sampled_from([0.5, 0.75, 0.99, 2.0]),
+       ball=st.sampled_from(["subnormalized", "normalized", "trace"]))
+def test_argv_fuzz_smooth_matrix_files(pair, alpha, ball):
+    _assert_clean_exit_with_files(["smooth", "--rho", "{rho}", "--sigma", "{sigma}",
+                                   f"--alpha={alpha!r}", f"--ball={ball}",
+                                   "--restarts", "1", "--iters", "5"],
+                                  rho=pair[0], sigma=pair[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(gamma=_hermitian(), alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0, math.inf]),
+                                           FUZZ_FLOATS))
+def test_argv_fuzz_monotone_gamma_file(gamma, alpha):
+    # a uniform --p of the size of the Gibbs matrix
+    p = ",".join([f"1/{gamma.shape[0]}"] * gamma.shape[0])
+    _assert_clean_exit_with_files(["monotone", "--theory", "athermality", f"--alpha={alpha!r}",
+                                   "--p", p, "--gamma-file", "{gamma}"], gamma=gamma)
 
 
 def _vector(n):
@@ -562,8 +600,16 @@ def _vector(n):
         lambda v: ",".join(repr(x) for x in v))
 
 
-# sizes stay small: --grid <= 30, --theta-points <= 40, --D <= 100
+# sizes stay small: --grid <= 30, --theta-points <= 40, --D <= 100, --dims <= 5
 FUZZ_SIZED_ARGV = {
+    # product states as point masses, and fuzzed vectors; --dims need not
+    # match --p, nor hold two positive entries
+    "monotone_entanglement": st.builds(
+        lambda alpha, p, dims: ["monotone", "--theory", "entanglement", f"--alpha={alpha!r}",
+                                f"--p={p}", f"--dims={dims}"],
+        FUZZ_FLOATS, st.one_of(st.sampled_from(["1,0,0,0", "0,0,0,1"]), _vector(4)),
+        st.one_of(st.lists(st.integers(-1, 5), min_size=1, max_size=3).map(
+            lambda v: ",".join(map(str, v))), st.sampled_from(["2,2", "2,x", ""]))),
     "regions": st.builds(
         lambda p, g, n, k: ["regions", f"--p={p}", f"--gamma={g}", f"--grid={n}",
                             f"--alpha-points={k}"],

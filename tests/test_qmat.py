@@ -173,18 +173,22 @@ def test_partial_trace_dimension_mismatch():
         qmat.partial_trace(np.eye(4) / 4, [3, 2], [0])
 
 
+# full dephasing of a qubit: Kraus operators |0><0| and |1><1|
+DEPHASE2 = qmat.KrausChannel([np.diag(row) for row in np.eye(2, dtype=complex)])
+
+
 def test_apply_channel_identity_and_dephasing():
     rho = qmat.random_state(2, 2, seed=3).data
     ident = qmat.KrausChannel([np.eye(2, dtype=complex)])
     assert np.max(np.abs(qmat.apply_channel(rho, ident) - rho)) <= 1e-14
     plus = np.full((2, 2), 0.5, dtype=complex)
-    out = qmat.apply_channel(plus, qmat.dephasing_channel(2))
+    out = qmat.apply_channel(plus, DEPHASE2)
     assert np.allclose(out, np.eye(2) / 2, atol=1e-14)
 
 
 def test_channel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        qmat.apply_channel(np.eye(3) / 3, qmat.dephasing_channel(2))
+        qmat.apply_channel(np.eye(3) / 3, DEPHASE2)
 
 
 def test_random_state_determinism_and_purity():
@@ -203,19 +207,6 @@ def test_random_channel_preserves_states():
     w = np.linalg.eigvalsh(out)
     assert w[0] >= -1e-10
     assert abs(np.trace(out).real - 1.0) <= 1e-10
-
-
-def test_mutual_information_cases():
-    a = qmat.random_state(2, 2, seed=1).data
-    b = qmat.random_state(2, 2, seed=2).data
-    assert abs(qmat.mutual_information(qmat.tensor(a, b), (2, 2))) <= 1e-10
-
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
-    assert abs(qmat.mutual_information(np.outer(bell, bell.conj()), (2, 2)) - 2.0) <= 1e-10
-
-    cc = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    assert abs(qmat.mutual_information(cc, (2, 2)) - 1.0) <= 1e-10
 
 
 def test_matrix_json_roundtrip():

@@ -6,10 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resmono import divergences as dv
-from resmono import monotones as mn
 from resmono import qmat
 from resmono import smoothing as sm
-from resmono.errors import AlphaOutOfRange, DimensionCap, TheoryUnsupported
+from resmono.errors import AlphaOutOfRange, DimensionCap
 
 RHO2 = np.diag([1.0, 0.0]).astype(complex)
 SIG2 = np.eye(2, dtype=complex) / 2.0
@@ -700,6 +699,12 @@ def test_min_smoothing_handles_singular_sigma():
         assert sv2.value == math.inf
         assert sv2.optimizer is None
         assert sv2.certified is sm.Certified.HEURISTIC_UPPER_BOUND
+    # sigma = 0 has no support at all, on every ball
+    for ball in sm.Ball:
+        sv3 = sm.smoothed_sandwiched(RHO2, np.zeros((2, 2), dtype=complex),
+                                     small_spec(0.1, 2.0, ball))
+        assert sv3.value == math.inf
+        assert sv3.optimizer is None
 
 
 def test_dp_check_identity_channel():
@@ -712,7 +717,7 @@ def test_dp_check_identity_channel():
 
 def test_dp_check_embedding_isometry():
     # the subnormalized ball is embedding-invariant: slack vanishes
-    ch = qmat.embedding_isometry_channel(2, 3)
+    ch = qmat.KrausChannel([np.eye(3, 2, dtype=complex)])
     res = sm.dp_check(RHO2, SIG2, ch, 0.75, 0.1, restarts=4, max_iters=300)
     assert abs(res.slack) <= 1e-6
 
@@ -743,36 +748,6 @@ def test_dp_check_random_sweep():
         res = sm.dp_check(rho, sig, ch, alpha, 0.1, restarts=2, max_iters=120, seed=i)
         worst = min(worst, res.slack)
     assert worst >= -1e-6
-
-
-def test_smoothed_monotone_athermality_singleton():
-    gam = np.diag([0.8, 0.2]).astype(complex)
-    rho = qmat.random_state(2, 2, seed=13).data
-    th = mn.Athermality(gam)
-    sv = sm.smoothed_monotone(rho, th, 0.75, 0.1, restarts=4, max_iters=200)
-    direct = sm.smoothed_sandwiched(rho, gam, small_spec(0.1, 0.75))
-    assert abs(sv.value - direct.value) <= 1e-8
-
-
-def test_smoothed_monotone_small_eps_matches_unsmoothed():
-    gam = np.diag([0.8, 0.2]).astype(complex)
-    rho = qmat.random_state(2, 2, seed=14).data
-    th = mn.Athermality(gam)
-    sv = sm.smoothed_monotone(rho, th, 0.75, 1e-6, restarts=4, max_iters=200)
-    assert abs(sv.value - mn.monotone_alpha(rho, th, 0.75)) <= 1e-4
-
-
-def test_smoothed_monotone_coherence_dominates_unsmoothed():
-    rho = qmat.random_state(2, 2, seed=15).data
-    sv = sm.smoothed_monotone(rho, mn.Coherence(), 0.75, 0.05,
-                              restarts=4, max_iters=200)
-    base = mn.monotone_alpha(rho, mn.Coherence(), 0.75)
-    assert sv.value >= base - 1e-9
-
-
-def test_smoothed_monotone_rejects_entanglement():
-    with pytest.raises(TheoryUnsupported):
-        sm.smoothed_monotone(RHO2, mn.PureBipartiteEntanglement(2, 2), 0.75, 0.1)
 
 
 def test_smoothed_petz_range_check():
