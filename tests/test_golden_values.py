@@ -195,6 +195,12 @@ def _catalysis_exponents():
               np.array([0.5, 0.5])),
              (0.8 * _pure(2, 161) + 0.1 * np.eye(2), np.eye(2) / 2,
               0.4 * _pure(2, 162) + 0.3 * np.eye(2), np.eye(2) / 2)]
+    # a zero entry in p1 (its grid winner sits at alpha = 1/2), d = 4, and a
+    # grid winner at alpha = 3.69, beyond 1/2 + dv.POW_SAFE_RADIUS
+    pairs += [tuple(np.array(v) for v in p) for p in (
+        ([0.7, 0.3, 0.0], [0.4, 0.3, 0.3], [0.5, 0.3, 0.2], [0.4, 0.3, 0.3]),
+        ([0.4, 0.3, 0.2, 0.1], [0.25] * 4, [0.3, 0.3, 0.2, 0.2], [0.25] * 4),
+        ([0.59, 0.02, 0.39], [0.66, 0.26, 0.08], [0.63, 0.26, 0.11], [0.65, 0.28, 0.07]))]
     return [(ct.error_exponent_first_order(*p), ct.error_exponent_optimized(*p)) for p in pairs]
 
 
