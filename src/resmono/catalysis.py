@@ -182,17 +182,25 @@ def _nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int):
     return sim[0], np.min(fsim)
 
 
+def _renyi_of_orders(rho, sigma):
+    """alphas -> [dv.sandwiched(rho, sigma, a) for a in alphas] as an array: a
+    classical pair is checked once, here, and takes all its orders in one pass."""
+    if qmat.is_classical(rho) and qmat.is_classical(sigma):
+        return dv.classical_renyi_orders(rho, sigma)
+    return lambda alphas: np.array([dv.sandwiched(rho, sigma, a) for a in alphas])
+
+
 def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
     """Maximize kappa(d1, d2) / (1/d1 + 2/d2) over the admissible deltas.
 
-    kappa = D_(1-d1)(rho1||sigma1) - D_(1+d2)(rho2||sigma2); log-spaced grid
-    followed by Nelder-Mead refinement in log-delta coordinates.
+    kappa = D_(1-d1)(rho1||sigma1) - D_(1+d2)(rho2||sigma2); a log-spaced grid,
+    each divergence's orders in one pass, then Nelder-Mead refinement in
+    log-delta coordinates. A classical pair is checked once for all of it.
     """
+    d1_of, d2_of = _renyi_of_orders(rho1, sigma1), _renyi_of_orders(rho2, sigma2)
     deltas1 = np.geomspace(1e-6, 0.5, EXPONENT_GRID)
     deltas2 = np.geomspace(1e-6, 5.0, EXPONENT_GRID)
-    d1_vals = np.array([dv.sandwiched(rho1, sigma1, 1.0 - d) for d in deltas1])
-    d2_vals = np.array([dv.sandwiched(rho2, sigma2, 1.0 + d) for d in deltas2])
-    kappa = d1_vals[:, None] - d2_vals[None, :]
+    kappa = d1_of(1.0 - deltas1)[:, None] - d2_of(1.0 + deltas2)[None, :]
     denom = 1.0 / deltas1[:, None] + 2.0 / deltas2[None, :]
     vals = np.where(kappa > 0.0, kappa / denom, -np.inf)
     if not np.isfinite(vals).any():
@@ -202,7 +210,7 @@ def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
     def neg(xy):
         da = min(max(math.exp(xy[0]), 1e-9), 0.5)
         db = min(max(math.exp(xy[1]), 1e-9), 5.0)
-        k = dv.sandwiched(rho1, sigma1, 1.0 - da) - dv.sandwiched(rho2, sigma2, 1.0 + db)
+        k = float(d1_of([1.0 - da])[0] - d2_of([1.0 + db])[0])
         if k <= 0.0:
             return 0.0
         return -k / (1.0 / da + 2.0 / db)
@@ -215,7 +223,7 @@ def error_exponent_optimized(rho1, sigma1, rho2, sigma2) -> OptimizedExponent:
         gamma = -fun
     else:
         da, db, gamma = deltas1[i], deltas2[j], vals[i, j]
-    k = dv.sandwiched(rho1, sigma1, 1.0 - da) - dv.sandwiched(rho2, sigma2, 1.0 + db)
+    k = d1_of([1.0 - da])[0] - d2_of([1.0 + db])[0]
     return OptimizedExponent(gamma=float(gamma), delta1=float(da), delta2=float(db),
                              kappa=float(k))
 

@@ -2,12 +2,15 @@
 
 Every run is determined by its flags and the code version; outputs carry a
 `#`-prefixed metadata header with the parameters and a source hash, and floats
-are printed at 12 significant digits so reruns are byte-identical.
+are printed at 12 significant digits so reruns are byte-identical. The parser
+and the source hash are built once per process; each `main` call looks up its
+handler `cmd_<command>` by name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -30,6 +33,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def code_version_hash() -> str:
     h = hashlib.sha256()
     pkg = os.path.dirname(__file__)
@@ -175,8 +179,10 @@ def _theory_from_args(args):
             raise InputError(f"{flag}: {exc}") from None
     if args.theory == "coherence":
         return mn.Coherence()
-    d_a, d_b = (int(x) for x in args.dims.split(","))
-    return mn.PureBipartiteEntanglement(d_a, d_b)
+    dims = args.dims.split(",")
+    if not (len(dims) == 2 and all(x.strip().isdecimal() and int(x) > 0 for x in dims)):
+        raise InputError(f"--dims: need two positive integers dA,dB, got {args.dims!r}")
+    return mn.PureBipartiteEntanglement(*map(int, dims))
 
 
 def cmd_monotone(args):
@@ -353,12 +359,13 @@ def cmd_verify(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="resmono",
                                  description="resource-monotone numerics toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, seed=False, vectors=False, emits=True):
+    def command(name, help, seed=False, vectors=False, emits=True):
         """A subcommand with only the shared flags its handler reads."""
         p = sub.add_parser(name, help=help)
         if emits:
@@ -369,10 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         if vectors:
             p.add_argument("--rationalize", type=int, default=None,
                            help="turn decimal inputs into fractions with bounded denominator")
-        p.set_defaults(fn=fn)
         return p
 
-    p = command("divergence", cmd_divergence, "pointwise divergence values", vectors=True)
+    p = command("divergence", "pointwise divergence values", vectors=True)
     p.add_argument("--kind", choices=["sandwiched", "petz", "umegaki", "dmax", "classical"],
                    default="sandwiched")
     p.add_argument("--alpha", default="1")
@@ -381,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", help="inline classical vector")
     p.add_argument("--q", help="inline classical vector")
 
-    p = command("monotone", cmd_monotone, "free-set minimization", seed=True, vectors=True)
+    p = command("monotone", "free-set minimization", seed=True, vectors=True)
     p.add_argument("--theory", choices=["athermality", "coherence", "entanglement"],
                    required=True)
     p.add_argument("--alpha", default="1")
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-file", dest="gamma_file", help="JSON matrix file")
     p.add_argument("--dims", default="2,2", help="dA,dB for entanglement")
 
-    p = command("smooth", cmd_smooth, "smoothed divergences / appendix suite", seed=True)
+    p = command("smooth", "smoothed divergences / appendix suite", seed=True)
     p.add_argument("--appendix-b", action="store_true", dest="appendix_b")
     p.add_argument("--alpha", type=float, default=0.75)
     p.add_argument("--eps", type=float, default=0.1)
@@ -402,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--iters", type=int, default=500)
 
-    p = command("regions", cmd_regions, "simplex region classifier", vectors=True)
+    p = command("regions", "simplex region classifier", vectors=True)
     p.add_argument("--p", required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--alpha-points", dest="alpha_points", type=int, default=64)
 
-    p = command("sweep", cmd_sweep, "qubit Bloch-plane level-set sweep", vectors=True)
+    p = command("sweep", "qubit Bloch-plane level-set sweep", vectors=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--level", type=float, default=2.0)
     p.add_argument("--grid", type=int, default=400,
@@ -416,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "existing command lines run unchanged")
     p.add_argument("--theta-points", dest="theta_points", type=int, default=720)
 
-    p = command("pairs", cmd_pairs, "hard-to-transform pair constructions")
+    p = command("pairs", "hard-to-transform pair constructions")
     p.add_argument("--which", choices=["athermal", "entanglement", "coherence", "all"],
                    default="all")
     p.add_argument("--D", dest="big_d", type=int, default=10 ** 4)
@@ -427,38 +433,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coh-eps", dest="coh_eps", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=None)
 
-    p = command("bound", cmd_bound, "catalyst bound curves")
+    p = command("bound", "catalyst bound curves")
     p.add_argument("--D", dest="big_d", type=int, default=10 ** 4)
     p.add_argument("--eps-param", dest="eps_param", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--eps-list", dest="eps_list",
                    default="1e-1,1e-2,1e-3,1e-4,1e-5,1e-6")
 
-    p = command("exponent", cmd_exponent, "error-exponent bounds", vectors=True)
+    p = command("exponent", "error-exponent bounds", vectors=True)
     p.add_argument("--p1", required=True)
     p.add_argument("--q1", required=True)
     p.add_argument("--p2", required=True)
     p.add_argument("--q2", required=True)
     p.add_argument("--optimized", action="store_true")
 
-    p = command("catalyst", cmd_catalyst, "block-catalyst construction", vectors=True)
+    p = command("catalyst", "block-catalyst construction", vectors=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--rho-prime", dest="rho_prime", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--eta-prime", dest="eta_prime", required=True)
     p.add_argument("--n", type=int, default=3)
 
-    p = command("verify", cmd_verify, "run invariant suites", seed=True, emits=False)
+    p = command("verify", "run invariant suites", seed=True, emits=False)
     p.add_argument("--suite", default="all",
                    help="comma list of suites or 'all'")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

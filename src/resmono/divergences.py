@@ -24,6 +24,7 @@ distribution paired with a matrix is embedded on the diagonal.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 
@@ -199,33 +200,56 @@ def _off_support(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def classical_renyi(p, q, alpha: float) -> float:
     """Classical Renyi divergence, matching sandwiched on diagonal embeddings."""
+    return float(classical_renyi_orders(p, q)([alpha])[0])
+
+
+def classical_renyi_orders(p, q):
+    """The function alphas -> [classical_renyi(p, q, a) for a in alphas], as
+    an array, bit for bit. The pair is checked, its masks built and its
+    support tested once, here; each call takes the power sums of all its
+    finite orders away from 1 in one numpy pass. That pass raises to an array
+    of exponents, elementwise, where numpy takes x ** e for a scalar e of -1,
+    1/2 or 2 as 1/x, sqrt(x) or x * x: such orders are redone as scalars.
+    """
     pv, qv = _classical_pair(p, q)
-    if math.isinf(alpha):
-        if alpha < 0.0:
-            raise AlphaOutOfRange(f"classical Renyi divergence needs a real order or +inf, got {alpha}")
-        if np.any(_off_support(pv, qv)):
-            return math.inf
-        mask = (pv > 0) & (qv > 0)   # as for alpha > 1, mass below tolerance on ker(q) is dropped
-        if not mask.any():
-            return -math.inf           # as dmax of the diagonal embeddings
-        return float(np.max(_log2_ratio(pv[mask], qv[mask])))
-    if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-        return classical_kl(pv, qv)
-    if alpha > 1.0 and np.any(_off_support(pv, qv)):
-        return math.inf
+    off = bool(_off_support(pv, qv).any())
     mask = (pv > 0) & (qv > 0)   # for alpha > 1, mass below tolerance on ker(q) is dropped
-    if abs(alpha - 0.5) <= POW_SAFE_RADIUS:
-        s = float((pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)).sum())
-    else:                           # a power may leave the float range: resummed below
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = float((pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)).sum())
-    if not 0.0 < s < math.inf:      # a NaN order always lands here
-        if math.isnan(alpha):
-            raise AlphaOutOfRange(f"classical Renyi divergence needs a real order or +inf, got {alpha}")
-        if not mask.any():          # no mass where both are positive: s is 0
-            return math.inf if alpha < 1.0 else -math.inf
-        return _renyi_log_domain(pv[mask], qv[mask], alpha)
-    return float(np.log2(s)) / (alpha - 1.0)
+    pm, qm = pv[mask], qv[mask]
+
+    def at(alphas) -> np.ndarray:
+        alphas = np.asarray(alphas, dtype=float)
+        out, run = np.empty(alphas.shape), []
+        for i, a in enumerate(alphas.tolist()):
+            if not a > -math.inf:
+                raise AlphaOutOfRange(f"classical Renyi divergence needs a real order or +inf, got {a}")
+            if off and a > 1.0:
+                out[i] = math.inf
+            elif a == math.inf:     # as dmax of the diagonal embeddings
+                out[i] = float(np.max(_log2_ratio(pm, qm))) if pm.size else -math.inf
+            elif abs(a - 1.0) < ALPHA_ONE_WINDOW:
+                out[i] = classical_kl(pv, qv)
+            else:
+                run.append(i)
+        a = alphas[run]
+        orders = a.tolist()
+        far = any(abs(x - 0.5) > POW_SAFE_RADIUS for x in orders)
+        # far out a power may leave the float range: resummed in the log domain below
+        with np.errstate(over="ignore", invalid="ignore") if far else contextlib.nullcontext():
+            t = pm ** a[:, None] * qm ** (1.0 - a)[:, None]
+            for j, x in enumerate(orders):
+                if x in (-1.0, 0.5, 2.0) or 1.0 - x in (-1.0, 0.5, 2.0):
+                    t[j] = pm ** x * qm ** (1.0 - x)
+        s = t.sum(axis=1)
+        bad = [j for j, v in enumerate(s.tolist()) if not 0.0 < v < math.inf]
+        if bad:
+            s[bad] = 1.0            # no log2 warning; these orders are redone below
+        out[run] = np.log2(s) / (a - 1.0)
+        for j in bad:               # a power under- or overflowed, or no mass is common
+            out[run[j]] = (_renyi_log_domain(pm, qm, orders[j]) if pm.size
+                           else math.inf if orders[j] < 1.0 else -math.inf)
+        return out
+
+    return at
 
 
 def classical_renyi_rows(p, q, alpha: float) -> np.ndarray:

@@ -295,6 +295,11 @@ HUGE_ENTRY_IDS = ["exponent_p1_huge", "monotone_p_huge", "regions_p_huge", "cata
 GAMMA_FILE_ARGV = [["monotone", "--theory", "athermality", "--p", "0.5,0.5", "--gamma-file", f]
                    for f in ("{gamma_trace_0_6}", "{gamma_indefinite}")]
 GAMMA_FILE_IDS = ["athermality_gamma_file_trace_0_6", "athermality_gamma_file_indefinite"]
+# --dims must be two positive integers
+DIMS_ARGV = [["monotone", "--theory", "entanglement", "--p", "1,0,0,0", dims]
+             for dims in ("--dims=2", "--dims=2,x", "--dims=-1,-4")]
+DIMS_IDS = ["entanglement_dims_one_entry", "entanglement_dims_not_integer",
+            "entanglement_dims_negative"]
 # divergence --p must be a distribution, --q need not be
 DIVERGENCE_P_SUM_ARGV = ["divergence", "--kind", "petz", "--alpha", "0.5", "--p", "0.9,0.9",
                          "--q", "0.5,0.5"]
@@ -396,6 +401,7 @@ def run_cli_err(argv):
     DIVERGENCE_P_SUM_ARGV,
     *GAMMA_FILE_ARGV,
     *HUGE_ENTRY_ARGV,
+    *DIMS_ARGV,
 ], ids=["eps_zero", "sum_above_one", "not_a_number", "smooth_without_rho", "missing_file",
         "petz_shapes", "regions_shapes", "sandwiched_shapes", "catalyst_n_zero",
         "sweep_rank_deficient_gamma", "monotone_rank_deficient_gamma", "sweep_level_negative",
@@ -414,7 +420,7 @@ def run_cli_err(argv):
         "monotone_state_trace_two", "monotone_state_nan_entry", "divergence_rho_nan_entry",
         "verify_unknown_suite", "verify_empty_suite", "monotone_p_inf_minus_inf",
         "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative",
-        "divergence_p_sum_above_one", *GAMMA_FILE_IDS, *HUGE_ENTRY_IDS])
+        "divergence_p_sum_above_one", *GAMMA_FILE_IDS, *HUGE_ENTRY_IDS, *DIMS_IDS])
 def test_bad_input_exit_two(argv, matrix_files):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -452,11 +458,12 @@ def test_bad_input_exit_two(argv, matrix_files):
                            "p must be a distribution", "rho must be a distribution",
                            "--p: entry 1e+308 exceeds 1", "--p: entry 1e+308 exceeds 1",
                            "--gamma: entry 1e+308 exceeds 1"]),
+    *((argv, "usage error: --dims: need two positive integers") for argv in DIMS_ARGV),
 ], ids=["sandwiched_alpha_nan", "smooth_alpha_inf", "smooth_alpha_minus_inf", "smooth_shapes",
         "smooth_rho_not_state", "divergence_sigma_not_psd", "monotone_zero_p", "sweep_grid_zero",
         "catalyst_eta_nan", "exponent_p2_negative", "divergence_p_negative",
         "divergence_p_sum_above_one", "athermality_gamma_not_normalized", *GAMMA_FILE_IDS,
-        *HUGE_ENTRY_IDS])
+        *HUGE_ENTRY_IDS, *DIMS_IDS])
 def test_bad_input_names_the_input(argv, named, matrix_files):
     code, _, err = run_cli_err(_with_files(argv, matrix_files))
     assert code == 2
@@ -733,6 +740,30 @@ def test_readme_examples_leave_scipy_optimize_unloaded():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_readme_examples_rerun_in_one_process(monkeypatch):
+    # the parser and the code hash are built once per process: after an
+    # argparse rejection and a patched handler, a second run of each README
+    # example prints the same bytes, under the hash of the package files
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        examples = [line.split("#")[0].split()[1:] for line in fh if line.startswith("resmono ")]
+    examples = [argv for argv in examples if argv[0] != "verify"]   # 3 s, and no emit
+    assert len(examples) == 9
+    first = [run_cli(argv) for argv in examples]
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        cli.main(["pairs", "--which", "none"])
+    assert exc.value.code == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_pairs", lambda args: 3)
+        assert run_cli(["pairs"]) == (3, "")
+    assert [run_cli(argv) for argv in examples] == first
+    fresh = cli.code_version_hash.__wrapped__()
+    assert cli.code_version_hash() == fresh
+    for code, out in first:
+        assert code == 0
+        assert f"# code_version={fresh}\n" in out
 
 
 def test_determinism_byte_identical():

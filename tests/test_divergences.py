@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resmono import divergences as dv
 from resmono import qmat
@@ -286,6 +288,66 @@ def test_classical_kl_and_dmax_over_a_subnormal_entry(p, q):
         for alpha in (1.0, 1.0 + 1e-8, math.inf):
             assert dv.classical_renyi_rows(p[None], q, alpha)[0] == 1031.9657842846623
     assert dv.classical_renyi(p, q, 2.0) == 1031.9657842846623
+
+
+def scalar_renyi(p, q, alpha):
+    """classical_renyi's rules, one order at a time with a scalar exponent:
+    the plain numpy expression that the many-orders pass must match bit for bit."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if alpha > 1.0 and np.any((p > dv.OVERLAP_TOL) & (q <= 0)):
+        return math.inf
+    if abs(alpha - 1.0) < dv.ALPHA_ONE_WINDOW:
+        return dv.classical_kl(p, q)
+    m = (p > 0) & (q > 0)
+    if math.isinf(alpha):
+        return float(np.max(dv._log2_ratio(p[m], q[m]))) if m.any() else -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float((p[m] ** alpha * q[m] ** (1.0 - alpha)).sum())
+    if 0.0 < s < math.inf:
+        return float(np.log2(s)) / (alpha - 1.0)
+    if not m.any():
+        return math.inf if alpha < 1.0 else -math.inf
+    return dv._renyi_log_domain(p[m], q[m], alpha)
+
+
+_EDGE = dv.ALPHA_ONE_WINDOW
+_FAR = 0.5 + dv.POW_SAFE_RADIUS
+ORDER_GRIDS = np.concatenate([1.0 - np.geomspace(1e-6, 0.5, 200),
+                              1.0 + np.geomspace(1e-6, 5.0, 200)])
+SPECIAL_ORDERS = [
+    0.5, 2.0, -1.0, 0.0,                        # numpy's scalar fast powers: sqrt, square, 1/x
+    0.5 - 2.0 ** -54, -1.0 + 2.0 ** -53,        # 1 - alpha rounds to 1/2 and to 2
+    math.nextafter(0.5, 1.0), math.nextafter(2.0, 3.0),
+    *(x for e in (1.0 - _EDGE, 1.0 + _EDGE)     # both edges of the alpha = 1 window
+      for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 3.0))),
+    _FAR, math.nextafter(_FAR, 3.0), 1.0 - _FAR, math.nextafter(1.0 - _FAR, -3.0),
+    1075.0, -1075.0, 1e5, 1e300, -1e300,        # resummed in the log domain
+    math.inf,
+]
+_Q_ENTRY = st.one_of(st.just(0.0), st.sampled_from([5e-324, 2.2e-311, 1e-300]),
+                     st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 6), data=st.data())
+def test_many_orders_match_scalar_classical_renyi(d, data):
+    # vectors with zeros, subnormal q entries and mass of p off supp q; each
+    # order of both exponent grids and of the special orders, plus random
+    # ones, in one call
+    p = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                    min_size=d, max_size=d)))
+    p = p / p.sum() if p.sum() > 0 else p
+    q = np.array(data.draw(st.lists(_Q_ENTRY, min_size=d, max_size=d)))
+    extra = data.draw(st.lists(st.floats(-50.0, 50.0), max_size=20))
+    orders = np.concatenate([ORDER_GRIDS, SPECIAL_ORDERS, extra])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [float.hex(float(v)) for v in dv.classical_renyi_orders(p, q)(orders)]
+        one = [float.hex(dv.classical_renyi(p, q, a)) for a in orders.tolist()]
+    assert got == one
+    assert got == [float.hex(scalar_renyi(p, q, a)) for a in orders.tolist()]
+    if np.any((p > dv.OVERLAP_TOL) & (q == 0.0)):
+        assert all(float.fromhex(g) == math.inf for g, a in zip(got, orders) if a > 1.0)
 
 
 @pytest.mark.parametrize("side", ["upper", "lower"])
